@@ -300,83 +300,400 @@ let test_observed_partial () =
         base.Partial_run.messages_sent o.Partial_run.messages_sent)
     (seeds 30)
 
-(* The churn campaign generalizes the fault campaign; on a churn-free
-   plan it must be not just equivalent but byte-identical — same RNG
-   consumption, same event scheduling, same wire traffic. Any drift
-   here means dynamic membership changed static-membership behavior,
-   which PR 2's pinned cram outputs (and physics) forbid. Plans sweep
-   no-fault, crash/recover and crash+partition regimes; every crashed
-   process recovers, so both harnesses report the same replica set. *)
+(* Churn_campaign generalizes the static-membership Fault_campaign; on a
+   churn-free plan it must be not just equivalent but byte-identical —
+   same RNG consumption, same event scheduling, same wire traffic, same
+   recoveries. The parity is frozen as golden digests: Fault_campaign
+   ran every plan of the sweep below and a digest of each run's
+   canonical text rendering ([parity_text]) was recorded; Churn_campaign
+   must reproduce all of them.
 
-module Fault_campaign = Dsm_runtime.Fault_campaign
+   The sweep crosses three complete-broadcast protocols with clean,
+   lossy and corrupting links; recovering, permanent and
+   partition-shadowed crashes; no link fault, a one-way cut, a flapping
+   link or a delay spike; and the [settle] / [checkpoint_every] knobs.
+   The audit's completeness fields are left out of the rendering: a
+   slot that stays down is excused by the driver's [?expected] domain
+   rather than after the fact, which changes [lost] but not [clean]. *)
+
 module Churn_campaign = Dsm_runtime.Churn_campaign
 module Fault_plan = Dsm_sim.Fault_plan
+module Checker = Dsm_runtime.Checker
+module Operation = Dsm_memory.Operation
+module Dot = Dsm_vclock.Dot
+module Rng = Dsm_sim.Rng
+module Wire = Dsm_obs.Wire
 
-let test_churn_free_parity () =
+type parity_plan = {
+  spec : Spec.t;
+  faults : Network.faults;
+  plan : Fault_plan.t;
+  settle : bool;
+  checkpoint_every : float;
+  seed : int;
+}
+
+let parity_plans = 120
+
+(* a crash inside a two-sided partition, recovering after the heal *)
+let shadowed_crash rng ~n =
+  let at = Dsm_sim.Sim_time.of_float in
+  let half = n / 2 in
+  let cut = Rng.uniform rng 30. 90. in
+  let victim = Rng.int rng n in
+  let crash = cut +. Rng.uniform rng 10. 60. in
+  let heal = cut +. 150. in
+  Fault_plan.make
+    [
+      Fault_plan.Cut
+        {
+          groups = [ List.init half Fun.id; List.init (n - half) (( + ) half) ];
+          at = at cut;
+        };
+      Fault_plan.Crash { proc = victim; at = at crash };
+      Fault_plan.Heal { at = at heal };
+      Fault_plan.Recover
+        { proc = victim; at = at (heal +. Rng.uniform rng 10. 80.) };
+    ]
+
+let parity_plan i =
+  let seed = i + 1 in
+  let n = 3 + (i / 12 mod 3) in
+  let rng = Rng.create (31 * seed) in
+  let horizon = 300. in
+  let crashes =
+    let one = Fault_plan.random rng ~n ~horizon ~crashes:1 ~partitions:0 () in
+    match i / 3 mod 3 with
+    | 0 -> one
+    | 1 ->
+        List.filter (function Fault_plan.Recover _ -> false | _ -> true) one
+    | _ -> shadowed_crash rng ~n
+  in
+  let links oneways flaps inflations =
+    Fault_plan.random_links rng ~n ~horizon ~oneways ~flaps ~inflations ()
+  in
+  let link_faults =
+    match i / 9 mod 4 with
+    | 0 -> []
+    | 1 -> links 1 0 0
+    | 2 -> links 0 1 0
+    | _ -> links 0 0 1
+  in
+  {
+    spec =
+      Spec.make ~n ~m:3 ~ops_per_process:30 ~write_ratio:0.5
+        ~think:(Latency.Exponential { mean = 10. })
+        ~seed ();
+    faults =
+      (match i mod 3 with
+      | 0 -> Network.no_faults
+      | 1 -> { Network.drop = 0.1; duplicate = 0.05; corrupt = 0. }
+      | _ -> { Network.drop = 0.2; duplicate = 0.05; corrupt = 0.2 });
+    plan = Fault_plan.make (crashes @ link_faults);
+    settle = i / 36 mod 2 = 0;
+    checkpoint_every = (if i / 72 = 0 then 50. else 500.);
+    seed;
+  }
+
+(* what a static crash-recovery run is compared on *)
+type parity_run = {
+  execution : Execution.t;
+  history : History.t;
+  states :
+    (int * int array * int array * (Operation.value * Dot.t option) list)
+    list;
+      (** proc, Apply, local clock, store *)
+  recoveries : (int * float * float option * int) list;
+      (** proc, recovered at, caught up at, replayed *)
+  down_at_end : int list;
+  counts : int list;
+  end_time : float;
+  clean : bool;
+  live_equal : bool;
+  report : Checker.report;
+  wire : Wire.stats;
+}
+
+let dot_text d = Printf.sprintf "%d.%d" (Dot.replica d) (Dot.seq d)
+let opt_dot = function None -> "-" | Some d -> dot_text d
+
+let value_text = function
+  | Operation.Bot -> "_"
+  | Operation.Val v -> string_of_int v
+
+let ints a = String.concat "," (List.map string_of_int a)
+
+let kind_text = function
+  | Execution.Send { dot; var; value } ->
+      Printf.sprintf "send %s x%d=%d" (dot_text dot) var value
+  | Execution.Receipt { dot; src } ->
+      Printf.sprintf "receipt %s from %d" (dot_text dot) src
+  | Execution.Blocked { dot; waiting_for } ->
+      Printf.sprintf "blocked %s on %s" (dot_text dot) (dot_text waiting_for)
+  | Execution.Apply { dot; var; value; delayed } ->
+      Printf.sprintf "apply %s x%d=%d delayed=%b" (dot_text dot) var value
+        delayed
+  | Execution.Skip { dot } -> Printf.sprintf "skip %s" (dot_text dot)
+  | Execution.Return { var; value; read_from } ->
+      Printf.sprintf "return x%d=%s from %s" var (value_text value)
+        (opt_dot read_from)
+
+let op_text = function
+  | Operation.Write w ->
+      Printf.sprintf "w %s x%d=%d" (dot_text w.wdot) w.wvar w.wvalue
+  | Operation.Read r ->
+      Printf.sprintf "r %d/%d x%d=%s from %s" r.rproc r.rslot r.rvar
+        (value_text r.rvalue) (opt_dot r.read_from)
+
+(* canonical text rendering of a run; floats in hex, so exact *)
+let parity_text r =
+  let b = Buffer.create 65536 in
+  let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') b fmt in
   List.iter
-    (fun seed ->
-      let n = 3 + (seed mod 3) in
-      let spec =
-        Spec.make ~n ~m:3 ~ops_per_process:30 ~write_ratio:0.5
-          ~think:(Latency.Exponential { mean = 10. })
-          ~seed ()
-      in
-      let latency = Latency.Exponential { mean = 8. } in
-      let faults =
-        if seed mod 2 = 0 then Network.no_faults
-        else { Network.drop = 0.1; duplicate = 0.05; corrupt = 0. }
-      in
-      let plan =
-        match seed mod 3 with
-        | 0 -> Fault_plan.make []
-        | 1 ->
-            Fault_plan.random
-              (Dsm_sim.Rng.create (31 * seed))
-              ~n ~horizon:300. ~crashes:1 ~partitions:0 ()
-        | _ ->
-            Fault_plan.random
-              (Dsm_sim.Rng.create (31 * seed))
-              ~n ~horizon:300. ~crashes:1 ~partitions:1 ()
-      in
-      let of_ =
-        Fault_campaign.run
-          (module Dsm_core.Opt_p)
-          ~spec ~latency ~faults ~plan ~seed ()
-      in
-      let oc =
-        Churn_campaign.run
-          (module Dsm_core.Opt_p)
-          ~spec ~latency ~faults ~plan ~initial:n ~seed ()
-      in
-      let ctx fmt =
-        Printf.sprintf ("churn-free parity seed %d: " ^^ fmt) seed
-      in
-      Alcotest.(check bool)
-        (ctx "identical event logs")
-        true
-        (Execution.events of_.Fault_campaign.execution
-        = Execution.events oc.Churn_campaign.execution);
-      Alcotest.(check bool)
-        (ctx "identical histories")
-        true
-        (History.ops of_.Fault_campaign.history
-        = History.ops oc.Churn_campaign.history);
-      Alcotest.(check bool)
-        (ctx "identical final replica states")
-        true
-        (of_.Fault_campaign.final_states = oc.Churn_campaign.final_states);
-      Alcotest.(check int)
-        (ctx "identical frame counts")
-        of_.Fault_campaign.frames_sent oc.Churn_campaign.frames_sent;
-      Alcotest.(check int)
-        (ctx "identical retransmissions")
-        of_.Fault_campaign.retransmissions oc.Churn_campaign.retransmissions;
-      Alcotest.(check int)
-        (ctx "identical engine step counts")
-        of_.Fault_campaign.engine_steps oc.Churn_campaign.engine_steps;
-      Alcotest.(check bool) (ctx "both clean") true
-        (of_.Fault_campaign.clean && oc.Churn_campaign.clean))
-    (seeds 12)
+    (fun (e : Execution.event) ->
+      line "%d %h %s" e.proc (Dsm_sim.Sim_time.to_float e.time)
+        (kind_text e.kind))
+    (Execution.events r.execution);
+  List.iter (fun op -> line "%s" (op_text op)) (History.ops r.history);
+  List.iter
+    (fun (p, applied, clock, store) ->
+      line "state %d apply=%s clock=%s store=%s" p
+        (ints (Array.to_list applied))
+        (ints (Array.to_list clock))
+        (String.concat ","
+           (List.map
+              (fun (v, d) -> value_text v ^ "@" ^ opt_dot d)
+              store)))
+    r.states;
+  List.iter
+    (fun (p, recovered, caught_up, replayed) ->
+      line "recovery %d %h %s %d" p recovered
+        (match caught_up with
+        | Some t -> Printf.sprintf "%h" t
+        | None -> "-")
+        replayed)
+    r.recoveries;
+  line "down %s" (ints r.down_at_end);
+  line "counts %s" (ints r.counts);
+  line "end %h clean=%b live_equal=%b" r.end_time r.clean r.live_equal;
+  let a = r.report in
+  line "audit applies=%d delays=%d necessary=%d unnecessary=%d violations=%d"
+    a.Checker.total_applies a.Checker.total_delays a.Checker.necessary_delays
+    a.Checker.unnecessary_delays
+    (List.length a.Checker.violations);
+  let w = r.wire in
+  line "wire frames=%d header=%d payload=%d meta=%d delta=%d" w.Wire.frames
+    w.Wire.header w.Wire.payload w.Wire.meta w.Wire.delta_meta;
+  Buffer.contents b
+
+let parity_digest r =
+  String.sub (Digest.to_hex (Digest.string (parity_text r))) 0 16
+
+let churn_parity_run (module P : Dsm_core.Protocol.S) c =
+  let n = c.spec.Spec.n in
+  let wire = Wire.create ~proto:P.name ~n () in
+  let o =
+    Churn_campaign.run
+      (module P)
+      ~spec:c.spec
+      ~latency:(Latency.Exponential { mean = 8. })
+      ~faults:c.faults ~plan:c.plan ~initial:n ~settle:c.settle
+      ~checkpoint_every:c.checkpoint_every ~seed:c.seed ~wire ()
+  in
+  {
+    execution = o.Churn_campaign.execution;
+    history = o.history;
+    states =
+      List.map
+        (fun (s : Dsm_runtime.Fault_campaign.replica_state) ->
+          (s.sproc, s.sapplied, s.sclock, s.sstore))
+        o.final_states;
+    recoveries =
+      List.map
+        (fun (c : Churn_campaign.catch_up) ->
+          (c.cproc, c.started_at, c.converged_at, c.replayed))
+        o.catch_ups;
+    down_at_end =
+      List.filter
+        (fun p -> not (List.mem p o.active_at_end))
+        (List.init n Fun.id);
+    counts =
+      [
+        o.payloads_sent; o.frames_sent; o.retransmissions;
+        o.duplicates_discarded; o.aborted_payloads; o.engine_steps;
+        o.commits; o.snapshot_bytes; o.rolled_back_events;
+        o.ops_skipped_inactive; o.sync_requests; o.sync_replies;
+        o.replayed_writes; o.stale_deliveries_dropped;
+      ];
+    end_time = o.end_time;
+    clean = o.clean;
+    live_equal = o.live_equal;
+    report = o.report;
+    wire = Wire.totals wire;
+  }
+
+let parity_protocols : (string * (module Dsm_core.Protocol.S)) list =
+  [
+    ("OptP", (module Dsm_core.Opt_p));
+    ("ANBKH", (module Dsm_core.Anbkh));
+    ("OptP-direct", (module Dsm_core.Opt_p_direct));
+  ]
+
+(* recorded from Fault_campaign: the first 16 hex digits of each run's
+   [parity_text] MD5, in plan order *)
+let golden_digests =
+  [
+    ( "OptP",
+      {|
+      9e6d065789735e4b eb2a2c1dc92a58cd 43787365f128f1b0 2fd24e625de6b59d
+      04aa25d5c174ef55 523d70e228567527 c76eec87488e9726 4bfdd4a02ef60748
+      630e1c30a21bfaf9 2167d1a3fafe91a6 ade56447c5396a9d b50577b4a8ab9dcb
+      1c8bfdbd1a5f7043 2ae3065d2b3ca660 889c6bc9b03f8aa0 c6e92cc894c14739
+      21ef7acc1d3844c5 96434b981a35f345 86f2c67f5c155215 c68304159cbc95d2
+      a5bddf2872b9bb49 2caf65fffaf060fe 0bd4dff52be1a7b4 61f296af897a1b8c
+      fb7b32b27cbdacf8 b40406df59a8da23 7d3697ce8f393b68 f1e1d7c3bec3d286
+      2b7051df6a9b881d ac131d896948a926 d5373bce08ce8532 4157487b5bb4ded5
+      d80460a61407f4a1 151b434b27b51243 39fc51f34bf011d7 e647549a2ab3f2b4
+      cab82de3e8e396fc 27c6d55044bb382d 542d12c75ec474a3 e8ce46499fecc031
+      52c07fc6caf0172a 98c223061ab519cc 48883b0f51d4849c 29b695e1fc99af4d
+      797c63fa76f55061 a50f1015fae651c1 b63f9cc5be75000b 8b0002c1fe13e762
+      a339d71bd3c689d8 34c1405d01aa2504 d70b7e024d603f04 e7f38067bc43b2df
+      459ea6e78a7be48f 75e2a07edac7ff9a 3d08ff97c3bb0b52 0b3dbb2ff4acca14
+      5865f239333baec5 4a5b007d7859a367 f4a63eaee6fa3a60 3db230a35b55b865
+      f3c429ad1b17a989 0882aef63ea32162 5b83ba61ff55f25f 70c334830a101258
+      9ad849cf8026e4b0 5b5c0faa51b1ca09 d7e5d873b6827c7c 4f7bfcf72d433e70
+      e952bec72e654ee1 68b95f873a6fa06e 758e268e26885b56 1a6c6a9a5bac95fc
+      378dca08cddb9a5e 899fb53ae92b3ee7 c2c630526e350d33 49fdd326693e27b5
+      9e947f20097b67fe 5e1124786cf58da3 19b3de432f04f0e8 f9c9e9d0e4bff6b1
+      1ea5b267094f4626 581e58ed2e5f79be b355b1eadcd2b1bf 0ffda872e8032605
+      51b2b8a41047ad2a 6311acc452d82dd9 c99ad56f10bfc948 1fb62f05c0a89987
+      e90210cb56b47aa1 55631c1a4b9b95a5 e9b7c11d3d06db88 20c908e6fd439087
+      36288e761586af92 e8d99d201a9ff140 fec6bc91d2a3bfa8 a0cd87367c654854
+      1a33172981708c2b ad4eaf2f607f98cd 74f0d2d7837ce545 67ed3918e8ae895c
+      9d6495edb87eac5b 91e9831e8cc9715a 23e9f81f85da080c 099575c8dccb922b
+      6ae01d409c7ec2c2 f9027314b70c84ef 85f3bdb8871bc17d c297eec27af9bc7a
+      0bd6c6f3a5cc5457 f21283d1d8227569 ef76b121f3204313 9055314963cc87e4
+      a6db59c503f35f7e 5f797db243499200 5d11f043f761a315 6b2f23b1652d3283
+      b704603273166a0d 1ab8d6e098ff2907 1b213dedbb16597f 1eb7d624772526a0
+      |} );
+    ( "ANBKH",
+      {|
+      840673e3464629e6 72500357364674e8 307fb62c3a62e161 36b3d6235c77ad44
+      bc94d3605927f107 60b69fee98dc08d8 9e079410bd0220f3 d96867f35c309072
+      099b445076b723c8 cfd1c64b79754a94 d4aae65cfbf5e2ef 07ed93b55b3f706a
+      e37b15d054e206f9 e3632a49eabd1342 cac0b8f52e529541 818d00788defc40a
+      f6ab579d6abb64be b192d48b60e67b67 e2c676f67f3e08dc 5775e9786e6a10fc
+      584c66281dbe18d6 844639b1a8787cf8 ce159103b8d23fc1 e7910bfc0497ccc7
+      c80d43f7b163542c 4927f18eade22261 350c730d0f89f3b1 6e883b3561e7d589
+      a5c2b1c74eb8de7f abb86a0fc2003cdd b8db87394873855c c4c39b3a0ab05fe9
+      da39d991e07cb318 999b08ede1fd395c d3cc797a022b7238 f54061fea7b2e04e
+      a24ce566d514691b 56280a1eb01e044b 84ac2e424c497e95 612218282b037253
+      1b1dabf754acad74 e2dc3ffddd5d1f7b 4ecb4d788f24f951 3a56026d754f470e
+      d04d50f311bf5d18 bc201bb85cad818f 64b752ef1729240e cea23e8b97779890
+      d3a3cf6806b546b9 b9beb717b07e9685 b125acc988ed0406 84fdb4458b36d3b6
+      28c3f46021bf0aff 7c53aaf2edaa7b7b 70221843d46d583b 690c5b26ffd0eab1
+      4ce96c3de400deb7 f3503f974f359513 3dd80579e65c12d7 3a7e57475481b992
+      5c354101a9bf49a7 f6071986ffccdc42 08ece107834dc581 197a9d2b5b1e812c
+      ae4f04a77bb3e623 814366d57d45a2ba b5c07797b7d7bef9 6f72b660c7ea2bc0
+      708b934080a47356 e08a495f7b4c772c d54b3349677d484f 339a685f59a2cbed
+      ee162bf8af890b90 f0ba920e9616337a 21bf8dca4cbad080 07e9d4b8d109ba73
+      75ed3414cfcb42ad 398f7863f16a5881 e82cc887e0693d80 aa4dbcdd8ce68a98
+      1802a5ccb6e13e04 c0dfa153b8faabb3 fc06ef9953944aea 8488b9b8a7f3bcf5
+      80aee767593c0367 2ae1987cdb17c5e2 60a5a030b6416de6 161bcbe9a87fe054
+      a9978a800414bd94 3fbfed537ddb05d9 fe417915fcfa12ca be31bf0844fb86fb
+      008f52987824f04c 1e77c7008d0bb5bc f6deb5aee68888bc 1ba91540f1a20317
+      126ad97158399ade 0a85a680c92dd542 1e8aecdbf88e4ae8 0fed857923481d02
+      b61b42a64281c7a9 83a1d030e650384f a224aaffff958dd4 130f7c10aac2a056
+      9b79183a2711b9af 0241960dc859efab 349b91c8fccb548a 85ba1b7badcc4797
+      9899b303c2ba4a4d d5f0eb633428a316 2237fc5499f2fab0 3863f15a6939ccae
+      ba56e05563749ebb a5e0cde73637194c 3a862b7c5ec8851a e80d4d90f0483a29
+      0e8429dc956227be 2bb531d90668ccef 671b804987bb43c2 48c789d02a5e7e2f
+      |} );
+    ( "OptP-direct",
+      {|
+      deb925c94e8e037b b90e2a3d16f48261 f763b3d7114a2297 5a813af52664b61f
+      09c10366a8711d64 5bd69ddf60d151bf 6a399334c07533fd 97840fc57fe5fcb5
+      07975246c5730feb d69ce67cf7a26bf6 a2b63e7b00ccc196 2244f41c21c74ae8
+      998c7ab2e0883ae4 17f885cff9a44ba4 77ae296fd6aed8b5 81fb28a74ff2fd75
+      0f7a750966e06db3 c355d11f673d5d24 8abf5da76cdde964 07f70dd0aab72b95
+      dd60583a595d4d09 cc955dbdc5e78656 386daae023c4b95c 8728bae2dab1a4da
+      85778ddd778ae60b 6ecb7c0fc607b1be daf0def4fca28199 a5031281a58ea0f6
+      faef10ca88a95025 5039d3fe87fdbcbb e6b8f57aede2f8c7 d5a99f4b9d124d3d
+      c285bdae18814fbc fb4c9beda4894a42 3da5af960c882b6d 733d28661a2aec7e
+      ce533826875acacc c44f2193fa294e07 5521db8ee19823d8 56e2f92463772827
+      794bd73331b93fce 7167e686f7add282 48c280fb82746af8 d4921067d599402d
+      132c910d5a27d838 51a690c1135fd4af c9b8ca7b5e7c7d87 e98a014ad9e69c6a
+      03a39e239e92aaa1 4580fa588289203b fe37c2b9abaace74 788af462640c016e
+      27efdaf45dccca94 30e3bb6524895957 14a2e938608f1402 84b8f0695d2ba0e0
+      1d1e7f84c84974b3 3c56d2428e8d1701 6c5c467531860583 1ff0974c68921986
+      2e02fa00254ec690 4836705ab24e4b1e c397a717fbe5a609 256fe3703d123cd3
+      6e80333894e4b6b6 c128253398ab5843 203f636e665ddcd9 1ce329b0254a8b4c
+      286ea1b2cb3dbc50 37eda128085077c4 10b3f41993b048e2 95a20f212adb969f
+      bf72b66fe8db53f5 86c6c6d89a54a045 3d2effca7b5fff56 9313d17e8a2203a1
+      e190e053e54b2bf1 9a12e75b57a7669a a0ec5b92d2077975 d18eca9563b48a7d
+      b022969435799929 31122c9d33f19d2b 96db0506ca04e141 b5c6c663a7d74da4
+      22d5828122f67797 07d113ae036eecf3 2df1ea8f511b9c79 3d97c2e06720d082
+      6651a650c6bc3976 f4c31519510ffd9a b299d464723ab32a 5a24ebea15e733ed
+      2c9416bf020a56f1 afa95e5dbea911e7 24a22e1a1f1c5ba0 f3dba1e020985602
+      8929fcee332f1481 b2240db82c260586 a24d10cc8c3d78a0 ab3d4794419b05ac
+      fbc8eebae133863a 310ffd813c77dfbd a2340ace647cba4a 8fac4d211794f1f1
+      860f07d3618bb762 7ef389f086522895 702b1d391f86d547 1c39c0bd86adfd7e
+      f19ff0467f9a187f 71c47df6d8f85e42 17b01139cb5b4624 47b569d51a7ad17b
+      59f5222c8a5c461c 877ce49cc2ba34a9 e1ca0e8fce644d53 99852535b65d5e17
+      d0c1b480eb86786d d9437eab9840a9c3 0ca503301b296c5e 305eaa6a8c87608f
+      |} );
+  ]
+
+(* The unclean runs, pinned as they are in both drivers with the writes
+   the audit reports lost ([proc:dot]). Each has a slot that crashes for
+   good under drop and corruption, its send queue abandoned at the
+   crash. On plans 5 and 113 some of the corpse's writes never left it
+   and are missing at every survivor. On plan 95 one of them reached a
+   single survivor after the survivors' gossip rounds had ended, so the
+   others never apply it (live_equal=false); under ANBKH that
+   survivor's later writes stay buffered behind it. *)
+let unclean_runs =
+  let lost_95 = "1:2.4 3:2.4" in
+  let lost_5 = "0:1.3 2:1.3 0:1.4 2:1.4 0:1.5 2:1.5" in
+  let lost_113 = "0:2.3 1:2.3 0:2.4 1:2.4 0:2.5 1:2.5 0:2.6 1:2.6" in
+  [
+    ("OptP", 5, lost_5);
+    ("OptP", 95, lost_95);
+    ("OptP", 113, lost_113);
+    ("ANBKH", 5, lost_5);
+    ("ANBKH", 95, "1:0.17 3:0.17 1:0.18 3:0.18 1:0.19 3:0.19 " ^ lost_95);
+    ("ANBKH", 113, lost_113);
+    ("OptP-direct", 5, lost_5);
+    ("OptP-direct", 95, lost_95);
+    ("OptP-direct", 113, lost_113);
+  ]
+
+let lost_text r =
+  String.concat " "
+    (List.map
+       (fun (p, d) -> Printf.sprintf "%d:%s" p (dot_text d))
+       r.report.Checker.lost)
+
+let test_churn_free_parity (name, golden) () =
+  let p = List.assoc name parity_protocols in
+  let digests =
+    String.split_on_char ' ' (String.map (function '\n' -> ' ' | c -> c) golden)
+    |> List.filter (( <> ) "")
+  in
+  Alcotest.(check int) "one digest per plan" parity_plans
+    (List.length digests);
+  List.iteri
+    (fun i want ->
+      let ctx s = Printf.sprintf "%s plan %d: %s" name i s in
+      let r = churn_parity_run p (parity_plan i) in
+      Alcotest.(check string) (ctx "golden digest") want (parity_digest r);
+      Alcotest.(check (option string))
+        (ctx "clean, or the pinned lost writes")
+        (List.find_map
+           (fun (n, j, lost) -> if n = name && j = i then Some lost else None)
+           unclean_runs)
+        (if r.clean then None else Some (lost_text r)))
+    digests
 
 let () =
   Alcotest.run "differential"
@@ -418,7 +735,11 @@ let () =
             test_observed_partial;
         ] );
       ( "churn campaign == fault campaign on static membership",
-        [
-          Alcotest.test_case "OptP, 12 plans" `Quick test_churn_free_parity;
-        ] );
+        List.map
+          (fun ((name, _) as golden) ->
+            Alcotest.test_case
+              (Printf.sprintf "%s, %d plans" name parity_plans)
+              `Quick
+              (test_churn_free_parity golden))
+          golden_digests );
     ]
