@@ -62,10 +62,10 @@ let q12 () = print_table (Experiment.q12_crash_recovery ())
 (* ------------------------------------------------------------------ *)
 
 module Recovery = struct
-  module FC = Dsm_runtime.Fault_campaign
+  module CC = Dsm_runtime.Churn_campaign
 
   (* (protocol, outcome, wall seconds) for the JSON writer *)
-  let results : (string * FC.outcome * float) list ref = ref []
+  let results : (string * CC.outcome * float) list ref = ref []
 
   let run () =
     let table =
@@ -97,7 +97,7 @@ module Recovery = struct
         let o = Experiment.acceptance_campaign ~protocol:packed () in
         let wall = Sys.time () -. t0 in
         results := !results @ [ (name, o, wall) ];
-        let lats = List.filter_map FC.recovery_latency o.FC.recoveries in
+        let lats = List.filter_map CC.catch_up_latency o.CC.catch_ups in
         let lat_str =
           match lats with
           | [] -> "-"
@@ -109,11 +109,11 @@ module Recovery = struct
           [
             name;
             lat_str;
-            string_of_int o.FC.replayed_writes;
-            string_of_int o.FC.rolled_back_events;
-            string_of_int o.FC.commits;
-            string_of_int o.FC.retransmissions;
-            (if o.FC.clean && o.FC.live_equal then "clean+converged"
+            string_of_int o.CC.replayed_writes;
+            string_of_int o.CC.rolled_back_events;
+            string_of_int o.CC.commits;
+            string_of_int o.CC.retransmissions;
+            (if o.CC.clean && o.CC.live_equal then "clean+converged"
              else "VIOLATIONS");
           ])
       [
@@ -591,7 +591,6 @@ end
 
 module Churn = struct
   module CC = Dsm_runtime.Churn_campaign
-  module FC = Dsm_runtime.Fault_campaign
   module Fault_plan = Dsm_sim.Fault_plan
 
   type result = {
@@ -638,15 +637,14 @@ module Churn = struct
        time 0 and no view changes — amplification is the extra wire
        traffic churn costs per delivered payload *)
     let s =
-      FC.run (module P) ~spec:(spec ~quick) ~latency
-        ~faults:Dsm_sim.Network.no_faults ~plan:(Fault_plan.make []) ~seed:5
-        ()
+      CC.run (module P) ~spec:(spec ~quick) ~latency ~plan:(Fault_plan.make [])
+        ~initial:universe ~seed:5 ()
     in
     {
       cprotocol = P.name;
       outcome = o;
-      static_payloads = s.FC.payloads_sent;
-      static_frames = s.FC.frames_sent;
+      static_payloads = s.CC.payloads_sent;
+      static_frames = s.CC.frames_sent;
       wall;
     }
 
@@ -1597,7 +1595,8 @@ let write_json file =
       exit 1
 
 let write_recovery_json file =
-  let module FC = Dsm_runtime.Fault_campaign in
+  let module CC = Dsm_runtime.Churn_campaign in
+  let opt_1f = function Some t -> Printf.sprintf "%.1f" t | None -> "null" in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n  \"schema\": \"causal-dsm-bench/v1\",\n";
   Buffer.add_string buf "  \"section\": \"crash_recovery\",\n";
@@ -1607,9 +1606,9 @@ let write_recovery_json file =
      \"span\": 500.0 } },\n";
   Buffer.add_string buf "  \"campaigns\": [";
   List.iteri
-    (fun i (name, (o : FC.outcome), wall) ->
+    (fun i (name, (o : CC.outcome), wall) ->
       if i > 0 then Buffer.add_char buf ',';
-      let lats = List.filter_map FC.recovery_latency o.FC.recoveries in
+      let lats = List.filter_map CC.catch_up_latency o.CC.catch_ups in
       let mean l =
         match l with
         | [] -> 0.
@@ -1621,26 +1620,22 @@ let write_recovery_json file =
       Buffer.add_string buf
         (Printf.sprintf
            "      \"clean\": %b, \"live_equal\": %b,\n"
-           o.FC.clean o.FC.live_equal);
+           o.CC.clean o.CC.live_equal);
       Buffer.add_string buf "      \"recoveries\": [";
       List.iteri
-        (fun j (r : FC.recovery) ->
+        (fun j (c : CC.catch_up) ->
           if j > 0 then Buffer.add_char buf ',';
           Buffer.add_string buf
             (Printf.sprintf
-               "\n        { \"proc\": %d, \"crashed_at\": %.1f, \
+               "\n        { \"proc\": %d, \"crashed_at\": %s, \
                 \"recovered_at\": %.1f,\n\
                \          \"caught_up_at\": %s, \"latency\": %s,\n\
                \          \"rolled_back_events\": %d, \"replayed\": %d }"
-               r.FC.rproc r.FC.crashed_at r.FC.recovered_at
-               (match r.FC.caught_up_at with
-               | Some t -> Printf.sprintf "%.1f" t
-               | None -> "null")
-               (match FC.recovery_latency r with
-               | Some l -> Printf.sprintf "%.1f" l
-               | None -> "null")
-               r.FC.rolled_back_events r.FC.replayed))
-        o.FC.recoveries;
+               c.cproc (opt_1f c.crashed_at) c.started_at
+               (opt_1f c.converged_at)
+               (opt_1f (CC.catch_up_latency c))
+               c.rolled_back c.replayed))
+        o.CC.catch_ups;
       Buffer.add_string buf "\n      ],\n";
       Buffer.add_string buf
         (Printf.sprintf
@@ -1653,13 +1648,13 @@ let write_recovery_json file =
             \"sync_requests\": %d, \"sync_replies\": %d,\n\
            \                    \"stale_deliveries_dropped\": %d, \
             \"aborted_payloads\": %d },\n"
-           o.FC.replayed_writes o.FC.sync_requests o.FC.sync_replies
-           o.FC.stale_deliveries_dropped o.FC.aborted_payloads);
+           o.CC.replayed_writes o.CC.sync_requests o.CC.sync_replies
+           o.CC.stale_deliveries_dropped o.CC.aborted_payloads);
       Buffer.add_string buf
         (Printf.sprintf
            "      \"durability\": { \"commits\": %d, \"snapshot_bytes\": \
             %d, \"rolled_back_events\": %d },\n"
-           o.FC.commits o.FC.snapshot_bytes o.FC.rolled_back_events);
+           o.CC.commits o.CC.snapshot_bytes o.CC.rolled_back_events);
       Buffer.add_string buf
         (Printf.sprintf
            "      \"wire\": { \"payloads_sent\": %d, \"frames_sent\": %d, \
@@ -1667,16 +1662,16 @@ let write_recovery_json file =
            \                \"frames_partition_dropped\": %d, \
             \"frames_crash_dropped\": %d,\n\
            \                \"frames_per_payload\": %.3f },\n"
-           o.FC.payloads_sent o.FC.frames_sent o.FC.retransmissions
-           o.FC.frames_partition_dropped o.FC.frames_crash_dropped
-           (if o.FC.payloads_sent = 0 then 0.
+           o.CC.payloads_sent o.CC.frames_sent o.CC.retransmissions
+           o.CC.net_partition_dropped o.CC.net_crash_dropped
+           (if o.CC.payloads_sent = 0 then 0.
             else
-              float_of_int o.FC.frames_sent /. float_of_int o.FC.payloads_sent));
+              float_of_int o.CC.frames_sent /. float_of_int o.CC.payloads_sent));
       Buffer.add_string buf
         (Printf.sprintf
            "      \"engine_steps\": %d, \"sim_end_time\": %.1f, \
             \"wall_seconds\": %.3f }"
-           o.FC.engine_steps o.FC.end_time wall))
+           o.CC.engine_steps o.CC.end_time wall))
     !Recovery.results;
   Buffer.add_string buf
     (if !Recovery.results = [] then "]\n}\n" else "\n  ]\n}\n");

@@ -575,11 +575,11 @@ let spec_of ~n ~m ~ops ~write_ratio ~zipf ~seed =
   Spec.make ~n ~m ~ops_per_process:ops ~write_ratio ~var_dist ~seed ()
 
 (* ---------------------------------------------------------------- *)
-(* fault campaigns (run --crash / --partition)                       *)
+(* campaigns: plans and static outputs (run --crash / --partition)   *)
 (* ---------------------------------------------------------------- *)
 
 module Fault_plan = Dsm_sim.Fault_plan
-module Fault_campaign = Dsm_runtime.Fault_campaign
+module Churn_campaign = Dsm_runtime.Churn_campaign
 
 let plan_of ?(joins = []) ?(leaves = []) ~crashes ~partitions () =
   let t = Dsm_sim.Sim_time.of_float in
@@ -610,32 +610,38 @@ let plan_of ?(joins = []) ?(leaves = []) ~crashes ~partitions () =
   in
   Fault_plan.make (crash_events @ cut_events @ join_events @ leave_events)
 
-let campaign_json ppf (o : Fault_campaign.outcome) =
+(* A churn-free campaign prints the static crash-recovery outputs: the
+   "fault campaign:" summary and the causal-dsm-campaign/v1 schema.
+   Every catch-up of such a run is a recovery, and the slots outside
+   the final view are the ones still down. *)
+let down_at_end (o : Churn_campaign.outcome) =
+  List.filter
+    (fun p -> not (List.mem p o.active_at_end))
+    (List.init (Dsm_runtime.Execution.n_processes o.execution) Fun.id)
+
+let opt_1f = function Some v -> Printf.sprintf "%.1f" v | None -> "null"
+
+let campaign_json ppf (o : Churn_campaign.outcome) =
   let open Format in
   fprintf ppf "{@,  \"schema\": \"causal-dsm-campaign/v1\",@,";
   fprintf ppf "  \"protocol\": \"%s\",@," o.protocol_name;
   fprintf ppf "  \"clean\": %b,@,  \"live_equal\": %b,@," o.clean
     o.live_equal;
   fprintf ppf "  \"down_at_end\": [%s],@,"
-    (String.concat ", " (List.map string_of_int o.down_at_end));
+    (String.concat ", " (List.map string_of_int (down_at_end o)));
   fprintf ppf "  \"recoveries\": [";
   List.iteri
-    (fun i (r : Fault_campaign.recovery) ->
+    (fun i (c : Churn_campaign.catch_up) ->
       if i > 0 then fprintf ppf ",";
       fprintf ppf
-        "@,    { \"proc\": %d, \"crashed_at\": %.1f, \"recovered_at\": \
+        "@,    { \"proc\": %d, \"crashed_at\": %s, \"recovered_at\": \
          %.1f, \"caught_up_at\": %s,@,      \"latency\": %s, \
          \"rolled_back_events\": %d, \"replayed\": %d }"
-        r.rproc r.crashed_at r.recovered_at
-        (match r.caught_up_at with
-        | Some v -> Printf.sprintf "%.1f" v
-        | None -> "null")
-        (match Fault_campaign.recovery_latency r with
-        | Some v -> Printf.sprintf "%.1f" v
-        | None -> "null")
-        r.rolled_back_events r.replayed)
-    o.recoveries;
-  if o.recoveries = [] then fprintf ppf "],@," else fprintf ppf "@,  ],@,";
+        c.cproc (opt_1f c.crashed_at) c.started_at (opt_1f c.converged_at)
+        (opt_1f (Churn_campaign.catch_up_latency c))
+        c.rolled_back c.replayed)
+    o.catch_ups;
+  if o.catch_ups = [] then fprintf ppf "],@," else fprintf ppf "@,  ],@,";
   fprintf ppf
     "  \"durability\": { \"commits\": %d, \"snapshot_bytes\": %d, \
      \"rolled_back_events\": %d },@,"
@@ -651,8 +657,7 @@ let campaign_json ppf (o : Fault_campaign.outcome) =
     \            \"frames_partition_dropped\": %d, \
      \"frames_crash_dropped\": %d, \"duplicates_discarded\": %d },@,"
     o.payloads_sent o.frames_sent o.retransmissions o.aborted_payloads
-    o.frames_partition_dropped o.frames_crash_dropped
-    o.duplicates_discarded;
+    o.net_partition_dropped o.net_crash_dropped o.duplicates_discarded;
   fprintf ppf
     "  \"audit\": { \"violations\": %d, \"necessary_delays\": %d, \
      \"unnecessary_delays\": %d, \"lost\": %d },@,"
@@ -662,50 +667,32 @@ let campaign_json ppf (o : Fault_campaign.outcome) =
   fprintf ppf "  \"engine_steps\": %d,@,  \"sim_end_time\": %.1f@,}"
     o.engine_steps o.end_time
 
-let campaign (module P : Dsm_core.Protocol.S) ~spec ~latency ~faults
-    ~crashes ~partitions ~checkpoint_every ~seed ~json ~metrics ~wire ~emit
-    =
-  if not (List.mem P.name [ "OptP"; "ANBKH"; "OptP-direct" ]) then
-    `Error
-      ( false,
-        Printf.sprintf
-          "--crash/--partition need a complete-broadcast protocol (optp, \
-           anbkh or optp-direct); %s cannot serve anti-entropy catch-up"
-          P.name )
-  else
-    match
-      Fault_campaign.run
-        (module P)
-        ~spec ~latency ~faults
-        ~plan:(plan_of ~crashes ~partitions ())
-        ~checkpoint_every ~seed ~metrics ~wire ()
-    with
-    | exception Invalid_argument msg -> `Error (false, msg)
-    | o ->
-        if json then Format.printf "@[<v>%a@]@." campaign_json o
-        else begin
-          Format.printf "%a@.@." Fault_campaign.pp_outcome o;
-          Format.printf "audit: %a@." Checker.pp_report o.report
-        end;
-        emit o.Fault_campaign.execution;
-        if not (o.clean && o.live_equal) then
-          `Error (false, "campaign is not clean")
-        else if
-          claims_optimality P.name
-          && o.report.Checker.unnecessary_delays > 0
-        then
-          `Error
-            ( false,
-              Printf.sprintf
-                "%d unnecessary delays — %s claims Theorem 4 optimality"
-                o.report.Checker.unnecessary_delays P.name )
-        else `Ok ()
+let pp_recovery ppf (c : Churn_campaign.catch_up) =
+  Format.fprintf ppf
+    "p%d crash@%s recover@%.1f rolled_back=%d replayed=%d%s" (c.cproc + 1)
+    (opt_1f c.crashed_at) c.started_at c.rolled_back c.replayed
+    (match Churn_campaign.catch_up_latency c with
+    | Some l -> Printf.sprintf " caught_up=+%.1f" l
+    | None -> " never caught up")
+
+let pp_fault_summary ppf (o : Churn_campaign.outcome) =
+  Format.fprintf ppf
+    "@[<v>%s fault campaign: %d recoveries, %d commits (%d bytes), %d \
+     rolled-back events, sync %d req / %d replies, %d replayed writes, \
+     %d aborted payloads, %d partition-dropped, %d crash-dropped \
+     frames; live_equal=%b clean=%b t_end=%.1f@,%a@]"
+    o.protocol_name
+    (List.length o.catch_ups)
+    o.commits o.snapshot_bytes o.rolled_back_events o.sync_requests
+    o.sync_replies o.replayed_writes o.aborted_payloads
+    o.net_partition_dropped o.net_crash_dropped o.live_equal o.clean
+    o.end_time
+    (Format.pp_print_list pp_recovery)
+    o.catch_ups
 
 (* ---------------------------------------------------------------- *)
 (* churn campaigns (run --join / --leave / --churn / --initial)      *)
 (* ---------------------------------------------------------------- *)
-
-module Churn_campaign = Dsm_runtime.Churn_campaign
 
 let churn_json ppf (o : Churn_campaign.outcome) =
   let open Format in
@@ -820,16 +807,24 @@ let churn_json ppf (o : Churn_campaign.outcome) =
   fprintf ppf "  \"engine_steps\": %d,@,  \"sim_end_time\": %.1f@,}"
     o.engine_steps o.end_time
 
-let churn_campaign (module P : Dsm_core.Protocol.S) ~spec ~latency ~faults
+(* every campaign runs on Churn_campaign; [static] (no membership,
+   detector or session flags) selects the static outputs above *)
+let campaign (module P : Dsm_core.Protocol.S) ~static ~spec ~latency ~faults
     ~plan ~initial ?detector ?sessions ~checkpoint_every ~seed ~json
     ~metrics ~wire ~emit () =
   if not (List.mem P.name [ "OptP"; "ANBKH"; "OptP-direct" ]) then
     `Error
       ( false,
-        Printf.sprintf
-          "--join/--leave/--churn/--fd need a complete-broadcast protocol \
-           (optp, anbkh or optp-direct); %s cannot serve state transfer"
-          P.name )
+        if static then
+          Printf.sprintf
+            "--crash/--partition need a complete-broadcast protocol (optp, \
+             anbkh or optp-direct); %s cannot serve anti-entropy catch-up"
+            P.name
+        else
+          Printf.sprintf
+            "--join/--leave/--churn/--fd need a complete-broadcast protocol \
+             (optp, anbkh or optp-direct); %s cannot serve state transfer"
+            P.name )
   else
     match
       Churn_campaign.run
@@ -839,9 +834,14 @@ let churn_campaign (module P : Dsm_core.Protocol.S) ~spec ~latency ~faults
     with
     | exception Invalid_argument msg -> `Error (false, msg)
     | o ->
-        if json then Format.printf "@[<v>%a@]@." churn_json o
+        if json then
+          Format.printf "@[<v>%a@]@."
+            (if static then campaign_json else churn_json)
+            o
         else begin
-          Format.printf "%a@.@." Churn_campaign.pp_outcome o;
+          Format.printf "%a@.@."
+            (if static then pp_fault_summary else Churn_campaign.pp_outcome)
+            o;
           (match o.Churn_campaign.sessions with
           | Some sr ->
               Format.printf "%a@.@." Dsm_runtime.Session_tier.pp_report sr
@@ -964,11 +964,11 @@ let run_cmd =
       || sessions <> None
     in
     let res =
-    if churny then begin
+    if churny || crashes <> [] || partitions <> [] then begin
+      let flags = if churny then "churn flags" else "--crash/--partition" in
       if repl_degree <> None then
-        `Error (false, "churn flags do not combine with \
-                        --replication-degree")
-      else if fifo then `Error (false, "churn flags do not combine with --fifo")
+        `Error (false, flags ^ " do not combine with --replication-degree")
+      else if fifo then `Error (false, flags ^ " do not combine with --fifo")
       else
         match
           detector_of ~fd ~fd_threshold ~heartbeat_every ~fd_adaptive ~joins
@@ -985,26 +985,12 @@ let run_cmd =
             with
             | Error msg -> `Error (false, msg)
             | Ok (plan, ini) ->
-                churn_campaign
+                campaign
                   (module P)
-                  ~spec ~latency
+                  ~static:(not churny) ~spec ~latency
                   ~faults:{ Dsm_sim.Network.drop; duplicate; corrupt }
                   ~plan ~initial:ini ?detector ?sessions:session_cfg
                   ~checkpoint_every ~seed ~json ~metrics ~wire ~emit ()))
-    end
-    else if crashes <> [] || partitions <> [] then begin
-      if repl_degree <> None then
-        `Error (false, "--crash/--partition do not combine with \
-                        --replication-degree")
-      else if fifo then
-        `Error (false, "--crash/--partition do not combine with --fifo")
-      else
-        campaign
-          (module P)
-          ~spec ~latency
-          ~faults:{ Dsm_sim.Network.drop; duplicate; corrupt }
-          ~crashes ~partitions ~checkpoint_every ~seed ~json ~metrics
-          ~wire ~emit
     end
     else if json then
       `Error (false, "--json requires --crash, --partition or churn flags")
@@ -1129,7 +1115,7 @@ let explain_cmd =
                P.name)
         else if fifo then
           Error "--crash/--partition do not combine with --fifo"
-        else if churny then
+        else
           match
             detector_of ~fd ~fd_threshold ~heartbeat_every ~fd_adaptive
               ~joins ~leaves ~churn
@@ -1158,18 +1144,6 @@ let explain_cmd =
                           o.Churn_campaign.report,
                           o.Churn_campaign.view_reasons,
                           o.Churn_campaign.sessions ))))
-        else
-          match
-            Fault_campaign.run
-              (module P)
-              ~spec ~latency
-              ~plan:(plan_of ~crashes ~partitions ())
-              ~checkpoint_every ~seed ()
-          with
-          | exception Invalid_argument msg -> Error msg
-          | o ->
-              Ok
-                (o.Fault_campaign.execution, o.Fault_campaign.report, [], None)
       end
       else
         let o = Sim_run.run (module P) ~spec ~latency ~fifo ~seed () in
@@ -1538,21 +1512,20 @@ let plan_cmd =
               | exception Invalid_argument msg -> Error msg
               | () -> Ok label
             in
+            let validate_static () =
+              match Dsm_runtime.Fault_campaign.validate_plan ~n plan with
+              | exception Invalid_argument msg -> Error msg
+              | () -> Ok "fault-campaign"
+            in
             let accept =
               match driver with
-              | `Fault -> (
-                  match Fault_campaign.validate_plan ~n plan with
-                  | exception Invalid_argument msg -> Error msg
-                  | () -> Ok "fault-campaign")
+              | `Fault -> validate_static ()
               | `Nemesis -> validate_universe "nemesis"
               | `Auto when combined_plan plan -> validate_universe "nemesis"
               | `Churn | `Auto when Fault_plan.has_churn plan || driver = `Churn
                 ->
                   validate_universe "churn-campaign"
-              | _ -> (
-                  match Fault_campaign.validate_plan ~n plan with
-                  | exception Invalid_argument msg -> Error msg
-                  | () -> Ok "fault-campaign")
+              | _ -> validate_static ()
             in
             match accept with
             | Error msg -> `Error (false, msg)

@@ -23,10 +23,12 @@ type 'msg wire =
          sender was alive after the suspicion, retransmissions
          notwithstanding *)
 
-(* frame-shape measurer over the churn envelope; anti-entropy and state
-   transfer are priced like Fault_campaign's "sync" cause, transfers
-   under their own cause (they carry whole log suffixes — the dominant
-   churn wire cost), heartbeats as one scalar *)
+(* frame-shape measurer over the campaign envelope, for the byte-cost
+   accountant: protocol messages keep their own shape, anti-entropy
+   traffic appears under a "sync" cause (a request is one vector, a
+   reply its vector plus every carried write's shape), transfers under
+   their own cause (they carry whole log suffixes — the dominant churn
+   wire cost), heartbeats as one scalar *)
 let wire_of_env msg_frame env =
   let vec_plus_writes ~kind ~scalars vec writes =
     List.fold_left
@@ -69,6 +71,8 @@ type catch_up = {
   cproc : int;
   ckind : catch_up_kind;
   started_at : float;
+  crashed_at : float option;
+  rolled_back : int;  (* applies the durable-state restore undid *)
   mutable transfer_writes : int;
   mutable transfer_gap : int;
       (* componentwise vector gap sponsor - joiner at transfer time;
@@ -79,6 +83,13 @@ type catch_up = {
       (* componentwise max of peer vectors seen in replies; caught up
          once the local applied vector dominates it *)
   mutable converged_at : float option;
+}
+
+type replica_state = {
+  sproc : int;
+  sapplied : int array;
+  sclock : int array;
+  sstore : (Dsm_memory.Operation.value * Dot.t option) list;
 }
 
 type suspicion = {
@@ -115,7 +126,7 @@ type outcome = {
   quarantine_leaks : int;
   sessions : Session_tier.report option;
   active_at_end : int list;
-  final_states : Fault_campaign.replica_state list;
+  final_states : replica_state list;
   live_equal : bool;
   clean : bool;
   commits : int;
@@ -132,6 +143,8 @@ type outcome = {
   net_oneway_dropped : int;
   net_flap_dropped : int;
   net_delay_inflated : int;
+  net_partition_dropped : int;
+  net_crash_dropped : int;
   corrupt_dropped : int;
   aborted_payloads : int;
   payloads_sent : int;
@@ -269,6 +282,11 @@ let run (type pt pm)
   let probe_checkpoint_bytes =
     Metrics.counter metrics "campaign_checkpoint_bytes"
   in
+  let probe_rollback_depth =
+    (* applies lost per restore: durable-state rollback distance *)
+    Metrics.histogram metrics "campaign_rollback_depth" ~lo:0. ~hi:64.
+      ~bins:16
+  in
   let probe_replayed = Metrics.counter metrics "campaign_replayed_writes" in
   let probe_sync_requests =
     Metrics.counter metrics "campaign_sync_requests"
@@ -397,8 +415,12 @@ let run (type pt pm)
     node.staged <- (Engine.now engine, kind) :: node.staged;
     node.staged_count <- node.staged_count + 1
   in
-  (* same durability discipline as {!Fault_campaign}: a write commits
-     before its broadcast leaves, so no dot is ever reissued *)
+  (* commit = make everything since the last commit durable: flush the
+     staged events into the recorded execution and serialize protocol
+     state + write log.  Called after every local write (so a write is
+     durable before its broadcast leaves — no dot is ever reissued) and
+     at the periodic checkpoints (so received writes also become
+     durable without waiting for the next local write). *)
   let commit node =
     List.iter
       (fun (time, kind) ->
@@ -678,12 +700,14 @@ let run (type pt pm)
       schedule_group_sync ()
     end
   in
-  let start_catch_up node ckind =
+  let start_catch_up ?crashed_at ?(rolled_back = 0) node ckind =
     let c =
       {
         cproc = node.id;
         ckind;
         started_at = nowf ();
+        crashed_at;
+        rolled_back;
         transfer_writes = 0;
         transfer_gap = 0;
         transfer_bytes = 0;
@@ -723,8 +747,11 @@ let run (type pt pm)
         Metrics.add probe_transfer_bytes c.transfer_bytes;
         ch_send ~src:sponsor ~dst:joiner.id (Transfer { vec; writes = out })
   in
+  (* rebuild a crashed slot from its last commit; returns the applies
+     the restore undid *)
   let restore_node node =
-    match node.durable with
+    let before = V.sum (P.applied_vector (proto_of node)) in
+    (match node.durable with
     | Some (cfg0, image, log_image) ->
         let t = P.restore cfg0 ~me:node.id image in
         P.grow t ~n:!width;
@@ -732,7 +759,10 @@ let run (type pt pm)
         node.log <- Protocol.Snapshot.decode log_image
     | None ->
         node.proto <- Some (P.create (Protocol.config ~n:!width ~m) ~me:node.id);
-        node.log <- Hashtbl.create 256
+        node.log <- Hashtbl.create 256);
+    let rolled = before - V.sum (P.applied_vector (proto_of node)) in
+    Metrics.observe probe_rollback_depth (float_of_int rolled);
+    rolled
   in
   let on_recover p =
     let node = nodes.(p) in
@@ -744,14 +774,20 @@ let run (type pt pm)
     else if mixed && not (Membership.is_active membership p) then begin
       (* mixed mode: the scripted crash put the slot down in the view
          (or a suspicion did); a scripted recover re-admits it under
-         the same incarnation, PR 2 style *)
+         the same incarnation, as a static recovery does *)
       Membership.recover membership ~at:(Engine.now engine) p;
       sync_view ();
       push_reason "p%d recovered (plan)" (p + 1)
     end;
     node.down <- false;
     Network.mark_recovered network p;
-    restore_node node;
+    let rolled_back = restore_node node in
+    let recover () =
+      ignore
+        (start_catch_up node Recover ~crashed_at:node.last_crash
+           ~rolled_back);
+      schedule_catch_up node
+    in
     if fd_on then begin
       (* the slot heard nothing while down: re-arm its own arrival
          clocks or it would instantly suspect every peer *)
@@ -771,15 +807,9 @@ let run (type pt pm)
       (* if a detector already turned this crash into a [Down], the
          catch-up belongs to the refutation-driven rejoin: the slot's
          resumed heartbeats will re-admit it *)
-      if Membership.is_active membership p then begin
-        ignore (start_catch_up node Recover);
-        schedule_catch_up node
-      end
+      if Membership.is_active membership p then recover ()
     end
-    else begin
-      ignore (start_catch_up node Recover);
-      schedule_catch_up node
-    end
+    else recover ()
   in
   let on_join p =
     let node = nodes.(p) in
@@ -826,10 +856,12 @@ let run (type pt pm)
       Reliable_channel.bump_incarnation channel p;
       Network.mark_recovered network p;
       node.down <- false;
-      restore_node node;
+      let rolled_back = restore_node node in
       incr rejoins;
       Metrics.incr probe_rejoins;
-      let c = start_catch_up node Rejoin in
+      let c =
+        start_catch_up node Rejoin ~crashed_at:node.last_crash ~rolled_back
+      in
       send_delta_transfer c node;
       schedule_catch_up node;
       schedule_group_sync ()
@@ -1502,8 +1534,9 @@ let run (type pt pm)
   (* sync until nothing new moves.  Under churn every active member
      asks around — joiners pick up writes that raced their view change,
      survivors pick up a rejoiner's re-supplied pre-crash writes.
-     Without churn only recovered crashers ask, exactly as
-     {!Fault_campaign} does (keeping churn-free runs byte-identical). *)
+     Without churn only recovered crashers ask: a write still buffered
+     at every peer when the last in-run round fired is picked up here,
+     after everything quiesced. *)
   (* detector-driven view changes count as churn: rejoiners with
      quarantined pre-bump traffic need every active member to ask *)
   let churny = Fault_plan.has_churn plan || fd_on in
@@ -1587,7 +1620,7 @@ let run (type pt pm)
     List.map
       (fun node ->
         {
-          Fault_campaign.sproc = node.id;
+          sproc = node.id;
           sapplied = V.to_array (P.applied_vector (proto_of node));
           sclock = V.to_array (P.local_clock (proto_of node));
           sstore = List.init m (fun var -> P.read (proto_of node) ~var);
@@ -1599,10 +1632,10 @@ let run (type pt pm)
     | [] | [ _ ] -> true
     | first :: rest ->
         List.for_all
-          (fun (s : Fault_campaign.replica_state) ->
-            s.sapplied = first.Fault_campaign.sapplied
-            && s.sstore = first.Fault_campaign.sstore
-            && ((not settle) || s.sclock = first.Fault_campaign.sclock))
+          (fun s ->
+            s.sapplied = first.sapplied
+            && s.sstore = first.sstore
+            && ((not settle) || s.sclock = first.sclock))
           rest
   in
   let active_at_end = Membership.active membership in
@@ -1657,6 +1690,8 @@ let run (type pt pm)
     net_oneway_dropped = Network.messages_oneway_dropped network;
     net_flap_dropped = Network.messages_flap_dropped network;
     net_delay_inflated = Network.messages_delay_inflated network;
+    net_partition_dropped = Network.messages_partition_dropped network;
+    net_crash_dropped = Network.messages_crash_dropped network;
     corrupt_dropped = Reliable_channel.corrupt_dropped channel;
     aborted_payloads = !aborted;
     payloads_sent = Reliable_channel.payloads_sent channel;

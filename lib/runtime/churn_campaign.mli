@@ -1,9 +1,51 @@
-(** Dynamic-membership campaigns: node churn under a causal-consistency
-    audit.
+(** Crash–recovery and dynamic-membership campaigns under a
+    causal-consistency audit.
 
-    Extends {!Fault_campaign}'s crash–recovery harness to a replica set
-    that changes while the run is in flight, over a fixed {e universe}
-    of slots (see {!Membership}):
+    Drives a {!Dsm_core.Protocol.S} protocol through a workload over a
+    {!Dsm_sim.Reliable_channel} while a {!Dsm_sim.Fault_plan} crashes
+    and restarts processes, cuts and heals partitions, and changes the
+    replica set. The paper's §3.1 model has none of these; the campaign
+    shows OptP's causal consistency survives them once the protocol
+    state is made durable. A plan without [Join]/[Leave] events is a
+    static crash-recovery campaign ([~initial:spec.n]).
+
+    {2 The recovery model}
+
+    - {b Durable}: whatever {!Dsm_core.Protocol.S.snapshot} captures
+      (for OptP: [Apply], [Write_co], [LastWriteOn], the store, the
+      pending buffer) plus the write log that feeds anti-entropy
+      replies. A commit happens after {e every local write} — so a
+      write is durable before its broadcast leaves and no dot is ever
+      reissued — and at a periodic checkpoint ([checkpoint_every]),
+      which bounds how many {e received} writes a crash can undo.
+    - {b Volatile}: everything since the last commit. A crash discards
+      the protocol's un-checkpointed progress and the staged execution
+      events of that window (the run's record keeps exactly what the
+      durable state can vouch for), and
+      {!Dsm_sim.Reliable_channel.abort_peer} abandons retransmissions
+      toward the corpse.
+    - {b Recovery}: the state is rebuilt with [restore], then the node
+      broadcasts its [Apply] vector in a [Sync_request]; peers answer
+      with the original wire messages of every applied write the
+      vector misses (per-issuer FIFO apply makes vector coverage exact:
+      dot [(u,s)] is applied iff [Apply[u] >= s]). Replies replay
+      through the {e normal} receive path, so the delivery buffer and
+      the delay accounting are untouched — every replayed delay is
+      {e necessary} by construction, and OptP keeps its Theorem-4 zero
+      unnecessary delays across crashes.
+
+    After the engine quiesces, a final anti-entropy fixpoint pass picks
+    up writes that were still buffered at every peer during the in-run
+    sync rounds, and an optional {e settle phase} (reads + sentinel
+    writes round-robin over live replicas, then reads everywhere) makes
+    live replicas comparable field-by-field: causal consistency alone
+    permits eternal divergence on concurrent writes (experiment Q9),
+    and OptP's [Write_co] only grows on reads.
+
+    {2 Membership}
+
+    The replica set may change while the run is in flight, over a fixed
+    {e universe} of slots (see {!Membership}):
 
     - {b join}: a fresh slot enters the view. All live protocol states
       {e grow} their clocks to cover the new slot first (the
@@ -54,6 +96,11 @@ type catch_up = {
   cproc : int;
   ckind : catch_up_kind;
   started_at : float;
+  crashed_at : float option;
+      (** the crash a [Recover] (or a crash-[Rejoin]) comes back from *)
+  rolled_back : int;
+      (** applies the durable-state restore undid: the crash's volatile
+          window (0 when nothing was restored) *)
   mutable transfer_writes : int;
   mutable transfer_gap : int;
       (** componentwise sponsor-minus-joiner Apply gap at transfer
@@ -65,9 +112,18 @@ type catch_up = {
   mutable converged_at : float option;
 }
 (** One slot's catch-up episode: a fresh join, a crash-rejoin, or a
-    plain PR 2 recovery. [converged_at] is set once the slot's applied
-    vector dominates every peer vector it has heard
-    (join-to-converged latency = [converged_at - started_at]). *)
+    plain crash recovery — on a churn-free plan every episode is a
+    [Recover]. [converged_at] is set once the slot's applied vector
+    dominates every peer vector it has heard (join-to-converged or
+    recovery latency = [converged_at - started_at]). *)
+
+type replica_state = {
+  sproc : int;
+  sapplied : int array;  (** final [Apply] *)
+  sclock : int array;  (** final [Write_co] (or protocol equivalent) *)
+  sstore : (Dsm_memory.Operation.value * Dsm_vclock.Dot.t option) list;
+      (** per variable: value and writer identity *)
+}
 
 type suspicion = {
   speer : int;  (** who was suspected *)
@@ -119,7 +175,7 @@ type outcome = {
           ([?sessions]): per-session spans, migrations, and the
           re-attributed session-guarantee audit *)
   active_at_end : int list;
-  final_states : Fault_campaign.replica_state list;
+  final_states : replica_state list;
       (** active replicas, ascending id *)
   live_equal : bool;
   clean : bool;
@@ -150,6 +206,10 @@ type outcome = {
       (** transmissions lost to a flapping link's cut phase *)
   net_delay_inflated : int;
       (** transmissions delivered late under a delay-inflation spike *)
+  net_partition_dropped : int;
+      (** transmissions lost to a partition cut *)
+  net_crash_dropped : int;
+      (** deliveries to a crashed slot *)
   corrupt_dropped : int;
   aborted_payloads : int;
   payloads_sent : int;
@@ -198,7 +258,23 @@ val run :
     Requires a complete-broadcast protocol (every write eventually
     applied everywhere, single-write messages): OptP, ANBKH or
     OptP-direct. Writing-semantics protocols cannot serve anti-entropy
-    catch-up and fail loudly.
+    catch-up and fail loudly. Defaults: [checkpoint_every = 50.],
+    [sync_rounds = 2] spaced [sync_interval = 100.] apart,
+    [settle = true], [retransmit_after = 50.], [seed = 1].
+
+    [?metrics] (default: the null registry) is threaded to the network
+    and reliable channel and additionally receives the campaign's own
+    series: [campaign_checkpoints], [campaign_checkpoint_bytes],
+    [campaign_rollback_depth] (applies undone per restore),
+    [campaign_replayed_writes], [campaign_sync_requests],
+    [campaign_sync_replies], the [membership_*] view series and the
+    [fd_*] detector series. Probes are pure observation: the campaign
+    is byte-identical with and without them. [?wire]/[?recorder]/
+    [?scrape_every] as in {!Sim_run.run}: the accountant prices channel
+    frames over the campaign envelope, so anti-entropy traffic shows up
+    under a "sync" cause and state transfers under "transfer"; the
+    recorder runs to the later of the workload horizon and the last
+    plan event.
 
     [?detector] switches the campaign to {e emergent} mode: no
     [Join]/[Leave] event may appear in the plan (crashes and partitions

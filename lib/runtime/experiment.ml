@@ -796,11 +796,11 @@ let acceptance_spec ops =
     ~seed:2026 ()
 
 let run_campaign (Dsm_core.Protocol.Packed (module P)) ~spec ~plan ~seed =
-  Fault_campaign.run
+  Churn_campaign.run
     (module P)
     ~spec
     ~latency:(Latency.Exponential { mean = 10. })
-    ~plan ~seed ()
+    ~plan ~initial:spec.Spec.n ~seed ()
 
 let acceptance_campaign ?(protocol = Dsm_core.Protocol.Packed (module Dsm_core.Opt_p))
     ?(seed = 5) ?(ops = 60) () =
@@ -870,23 +870,17 @@ let q12_crash_recovery ?(seeds = [ 1; 2; 3 ]) ?(ops = 40) () =
                   ~seed ()
               in
               let o = run_campaign p ~spec ~plan ~seed in
-              if not (o.Fault_campaign.clean && o.Fault_campaign.live_equal)
+              if not (o.Churn_campaign.clean && o.Churn_campaign.live_equal)
               then all_ok := false;
-              rolled :=
-                float_of_int o.Fault_campaign.rolled_back_events :: !rolled;
-              replayed :=
-                float_of_int o.Fault_campaign.replayed_writes :: !replayed;
-              sync :=
-                float_of_int
-                  (o.Fault_campaign.sync_requests
-                  + o.Fault_campaign.sync_replies)
-                :: !sync;
+              rolled := float_of_int o.rolled_back_events :: !rolled;
+              replayed := float_of_int o.replayed_writes :: !replayed;
+              sync := float_of_int (o.sync_requests + o.sync_replies) :: !sync;
               List.iter
-                (fun r ->
-                  match Fault_campaign.recovery_latency r with
+                (fun c ->
+                  match Churn_campaign.catch_up_latency c with
                   | Some l -> lat := l :: !lat
                   | None -> all_ok := false)
-                o.Fault_campaign.recoveries)
+                o.catch_ups)
             seeds;
           let mean l = Summary.mean (Summary.of_list l) in
           Table_fmt.add_row table

@@ -159,11 +159,11 @@ val q11_partial_replication :
 
 val q12_crash_recovery :
   ?seeds:int list -> ?ops:int -> unit -> Dsm_stats.Table_fmt.t
-(** Crash–recovery campaigns ({!Fault_campaign}): OptP and ANBKH under
-    a single crash and a crash-plus-partition plan, measuring
-    checkpoint rollback, anti-entropy replay volume, recovery latency
-    and sync traffic. Every run must end checker-clean with all live
-    replicas converged. *)
+(** Crash–recovery campaigns ({!Churn_campaign} on static plans): OptP
+    and ANBKH under a single crash and a crash-plus-partition plan,
+    measuring checkpoint rollback, anti-entropy replay volume, recovery
+    latency and sync traffic. Every run must end checker-clean with all
+    live replicas converged. *)
 
 val acceptance_plan : Dsm_sim.Fault_plan.t
 (** The headline schedule: 8 replicas, a 500-time-unit partition
@@ -176,7 +176,7 @@ val acceptance_campaign :
   ?seed:int ->
   ?ops:int ->
   unit ->
-  Fault_campaign.outcome
+  Churn_campaign.outcome
 (** One full run of {!acceptance_plan} over an 8-process workload
     (default protocol OptP, [ops = 60] per process). The bench harness
     serializes the outcome to [BENCH_crash_recovery.json]. *)

@@ -1,10 +1,10 @@
 (** Nemesis: unified adversarial fault campaigns.
 
-    Every fault family the repo grew one PR at a time — crash/recover
-    ({!Fault_campaign}), partitions, churn and emergent membership
-    ({!Churn_campaign}), frame corruption, and the link-level
-    primitives of {!Dsm_sim.Network} (asymmetric cuts, flapping,
-    delay inflation) — composed into {e one} schedule and judged by
+    Every fault family the repo grew one step at a time — crash/recover,
+    partitions, churn and emergent membership ({!Churn_campaign}),
+    frame corruption, and the link-level primitives of
+    {!Dsm_sim.Network} (asymmetric cuts, flapping, delay inflation) —
+    composed into {e one} schedule and judged by
     {e one} verdict. The paper's §3.1 model has none of these
     failures; nemesis is the adversary that checks the implementation
     keeps the paper's guarantees (causal consistency, and Theorem 4's

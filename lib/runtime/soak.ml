@@ -253,7 +253,7 @@ let run (type pt pm)
   let dedup_reclaimed = ref 0 and log_reclaimed = ref 0 in
 
   let record p kind = staged.(p) <- (Engine.now engine, kind) :: staged.(p) in
-  (* commit-before-broadcast, after {!Fault_campaign}: every write is
+  (* commit-before-broadcast, after {!Churn_campaign}: every write is
      durable before its frames leave, so a crash never re-issues a dot
      and a rejoiner's durable vector is never behind what the group saw
      from it.  Committing after {e every} write (not on a timer) also

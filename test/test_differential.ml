@@ -300,13 +300,14 @@ let test_observed_partial () =
         base.Partial_run.messages_sent o.Partial_run.messages_sent)
     (seeds 30)
 
-(* Churn_campaign generalizes the static-membership Fault_campaign; on a
-   churn-free plan it must be not just equivalent but byte-identical —
-   same RNG consumption, same event scheduling, same wire traffic, same
-   recoveries. The parity is frozen as golden digests: Fault_campaign
-   ran every plan of the sweep below and a digest of each run's
-   canonical text rendering ([parity_text]) was recorded; Churn_campaign
-   must reproduce all of them.
+(* Churn_campaign replaced a separate static-membership driver, which
+   is now a front door to it. On a churn-free plan it must reproduce
+   that driver byte for byte — same RNG consumption, same event
+   scheduling, same wire traffic, same recoveries. The parity is frozen
+   as golden digests: the static driver ran every plan of the sweep
+   below, and a digest of each run's canonical text rendering
+   ([parity_text]) was recorded; Churn_campaign must reproduce all of
+   them.
 
    The sweep crosses three complete-broadcast protocols with clean,
    lossy and corrupting links; recovering, permanent and
@@ -403,8 +404,9 @@ type parity_run = {
     (int * int array * int array * (Operation.value * Dot.t option) list)
     list;
       (** proc, Apply, local clock, store *)
-  recoveries : (int * float * float option * int) list;
-      (** proc, recovered at, caught up at, replayed *)
+  recoveries : (int * float * float * int * float option * int) list;
+      (** proc, crashed at, recovered at, rolled back, caught up at,
+          replayed *)
   down_at_end : int list;
   counts : int list;
   end_time : float;
@@ -466,8 +468,10 @@ let parity_text r =
               store)))
     r.states;
   List.iter
-    (fun (p, recovered, caught_up, replayed) ->
-      line "recovery %d %h %s %d" p recovered
+    (fun (p, crashed, recovered, rolled_back, caught_up, replayed) ->
+      line "recovery %d crashed=%h recovered=%h rolled_back=%d caught_up=%s \
+            replayed=%d"
+        p crashed recovered rolled_back
         (match caught_up with
         | Some t -> Printf.sprintf "%h" t
         | None -> "-")
@@ -505,13 +509,18 @@ let churn_parity_run (module P : Dsm_core.Protocol.S) c =
     history = o.history;
     states =
       List.map
-        (fun (s : Dsm_runtime.Fault_campaign.replica_state) ->
+        (fun (s : Churn_campaign.replica_state) ->
           (s.sproc, s.sapplied, s.sclock, s.sstore))
         o.final_states;
     recoveries =
       List.map
         (fun (c : Churn_campaign.catch_up) ->
-          (c.cproc, c.started_at, c.converged_at, c.replayed))
+          ( c.cproc,
+            Option.value c.crashed_at ~default:Float.nan,
+            c.started_at,
+            c.rolled_back,
+            c.converged_at,
+            c.replayed ))
         o.catch_ups;
     down_at_end =
       List.filter
@@ -524,6 +533,7 @@ let churn_parity_run (module P : Dsm_core.Protocol.S) c =
         o.commits; o.snapshot_bytes; o.rolled_back_events;
         o.ops_skipped_inactive; o.sync_requests; o.sync_replies;
         o.replayed_writes; o.stale_deliveries_dropped;
+        o.net_partition_dropped; o.net_crash_dropped;
       ];
     end_time = o.end_time;
     clean = o.clean;
@@ -539,108 +549,108 @@ let parity_protocols : (string * (module Dsm_core.Protocol.S)) list =
     ("OptP-direct", (module Dsm_core.Opt_p_direct));
   ]
 
-(* recorded from Fault_campaign: the first 16 hex digits of each run's
+(* recorded from the static driver: the first 16 hex digits of each run's
    [parity_text] MD5, in plan order *)
 let golden_digests =
   [
     ( "OptP",
       {|
-      9e6d065789735e4b eb2a2c1dc92a58cd 43787365f128f1b0 2fd24e625de6b59d
-      04aa25d5c174ef55 523d70e228567527 c76eec87488e9726 4bfdd4a02ef60748
-      630e1c30a21bfaf9 2167d1a3fafe91a6 ade56447c5396a9d b50577b4a8ab9dcb
-      1c8bfdbd1a5f7043 2ae3065d2b3ca660 889c6bc9b03f8aa0 c6e92cc894c14739
-      21ef7acc1d3844c5 96434b981a35f345 86f2c67f5c155215 c68304159cbc95d2
-      a5bddf2872b9bb49 2caf65fffaf060fe 0bd4dff52be1a7b4 61f296af897a1b8c
-      fb7b32b27cbdacf8 b40406df59a8da23 7d3697ce8f393b68 f1e1d7c3bec3d286
-      2b7051df6a9b881d ac131d896948a926 d5373bce08ce8532 4157487b5bb4ded5
-      d80460a61407f4a1 151b434b27b51243 39fc51f34bf011d7 e647549a2ab3f2b4
-      cab82de3e8e396fc 27c6d55044bb382d 542d12c75ec474a3 e8ce46499fecc031
-      52c07fc6caf0172a 98c223061ab519cc 48883b0f51d4849c 29b695e1fc99af4d
-      797c63fa76f55061 a50f1015fae651c1 b63f9cc5be75000b 8b0002c1fe13e762
-      a339d71bd3c689d8 34c1405d01aa2504 d70b7e024d603f04 e7f38067bc43b2df
-      459ea6e78a7be48f 75e2a07edac7ff9a 3d08ff97c3bb0b52 0b3dbb2ff4acca14
-      5865f239333baec5 4a5b007d7859a367 f4a63eaee6fa3a60 3db230a35b55b865
-      f3c429ad1b17a989 0882aef63ea32162 5b83ba61ff55f25f 70c334830a101258
-      9ad849cf8026e4b0 5b5c0faa51b1ca09 d7e5d873b6827c7c 4f7bfcf72d433e70
-      e952bec72e654ee1 68b95f873a6fa06e 758e268e26885b56 1a6c6a9a5bac95fc
-      378dca08cddb9a5e 899fb53ae92b3ee7 c2c630526e350d33 49fdd326693e27b5
-      9e947f20097b67fe 5e1124786cf58da3 19b3de432f04f0e8 f9c9e9d0e4bff6b1
-      1ea5b267094f4626 581e58ed2e5f79be b355b1eadcd2b1bf 0ffda872e8032605
-      51b2b8a41047ad2a 6311acc452d82dd9 c99ad56f10bfc948 1fb62f05c0a89987
-      e90210cb56b47aa1 55631c1a4b9b95a5 e9b7c11d3d06db88 20c908e6fd439087
-      36288e761586af92 e8d99d201a9ff140 fec6bc91d2a3bfa8 a0cd87367c654854
-      1a33172981708c2b ad4eaf2f607f98cd 74f0d2d7837ce545 67ed3918e8ae895c
-      9d6495edb87eac5b 91e9831e8cc9715a 23e9f81f85da080c 099575c8dccb922b
-      6ae01d409c7ec2c2 f9027314b70c84ef 85f3bdb8871bc17d c297eec27af9bc7a
-      0bd6c6f3a5cc5457 f21283d1d8227569 ef76b121f3204313 9055314963cc87e4
-      a6db59c503f35f7e 5f797db243499200 5d11f043f761a315 6b2f23b1652d3283
-      b704603273166a0d 1ab8d6e098ff2907 1b213dedbb16597f 1eb7d624772526a0
+      266f52bb963e8ddd 6cf25762bd424219 31648d13a02aaaf8 19732c846a74ead1
+      56ee5925ec555c74 364e3ac6db5e636d 8c9f4c6715ef648b 60af3b75d019838c
+      3a3fe636b6a5d365 9782a1f931c6ac59 78073839a73fece2 fefe64f6cd4df190
+      70988dc3524bd954 b63698cada56e179 0f32e6668c6f0e37 3d33cf10a0c42e9f
+      a64f11c91450e988 79322a4700634842 eb7259d8846d0deb 417a9026d83fff3a
+      778815a4d60dba10 f2100b75ee817ce2 8375e385d344f715 9da32b28c18caaf2
+      501280c6352275b2 717297bb552302bd c1e5c54c3f163c81 b4143566b2e8f215
+      dfa4842653fa2def f5ca697a117b7fbf d6afdeb983fd76ac dc48834c23bbe113
+      e53bc079dc33374e 21776f5ac23ef0ff f6d5103f8d20b786 04ffe1f3980ddc65
+      01c39ef036de68d8 9c5579dad91a8306 bc82f89246012b0e 1586e1fa0a137bad
+      76df940cd03b04a1 6f6950e83c4641d0 db3080989a4ab68d 797d721bd056da19
+      1a017735cce5e91f 041f8ee577623a2a c1f8744c83da745c bd562a33b4eb3f2e
+      d48042b13547007b 2ffe73e461a95331 6606078dc70b9d57 72f493e80c3d37de
+      925fe0277b71782a 69706410e1366524 207379203b8ea2bb 0f259a4f3ea6a78b
+      b0fb05a70f4dfa17 37bc2edc597a126c d87ba8cd4b96993e 35e898e54a9e6912
+      ff780d7453d89d66 a1cf98e4dea9c9e4 724a4fd64ddf9e00 c0e5b389d0459e69
+      e81d2b8390bcd3f1 083838c69676ac40 2fe745b41d62bc4c a9627b262a8464b0
+      38634f15312bc3b4 ff0e27c24937acf3 24395edf2491b42b 505eed1fb15c28d8
+      4e984591f653857b ad58efbf8c5b00f7 312a216b460b7da4 0fc06f253eca697b
+      2d652c7129a7cb9e 1ae44516f5007180 5ffe7607d1eacd2b 56e4c61efa2b8664
+      1c8d49c03736f86a 5b5e7dd18a888d2c 3a2db1121a6af5d0 59c6d5e77cb2a3b4
+      ca8b173a7985b8be 7c0201e39a0b0b9c 89988b073334c242 56b88eb1b05f2d85
+      22872be62c9c5b8c 95b6fc8540926b13 b0c0f232858f9481 21689c1557d783f2
+      c94295d47fbd9306 d8c12c9881c3c2f7 bf028efe8d5fc586 4dad47dd8255d0ca
+      265000a824cd96e0 ffa8ea221b184d5a 4c04aa0d1d2e0140 ca3715b1ffe6cf63
+      9e9400b97e6f81f9 0c4bb77c96baede8 a7cb324380f36740 dbc575541ef40f36
+      5d9c46cccf1a0720 138a404b4d0680a5 280a27c8a182da07 28a8687c105efca6
+      fbb2b6b95a6e4cce 03454327e808b957 dde38002fb234f01 7b2ceb451110e6e7
+      8cd7c3b3a513be03 aee1c7eef8ca214d 7364e43fef66b6ab 4298f12a7d73ba8c
+      5c030e0d84a0a177 35fa27feb304e4a6 3c13796b79d00ec2 5f873195ed9d7e7c
       |} );
     ( "ANBKH",
       {|
-      840673e3464629e6 72500357364674e8 307fb62c3a62e161 36b3d6235c77ad44
-      bc94d3605927f107 60b69fee98dc08d8 9e079410bd0220f3 d96867f35c309072
-      099b445076b723c8 cfd1c64b79754a94 d4aae65cfbf5e2ef 07ed93b55b3f706a
-      e37b15d054e206f9 e3632a49eabd1342 cac0b8f52e529541 818d00788defc40a
-      f6ab579d6abb64be b192d48b60e67b67 e2c676f67f3e08dc 5775e9786e6a10fc
-      584c66281dbe18d6 844639b1a8787cf8 ce159103b8d23fc1 e7910bfc0497ccc7
-      c80d43f7b163542c 4927f18eade22261 350c730d0f89f3b1 6e883b3561e7d589
-      a5c2b1c74eb8de7f abb86a0fc2003cdd b8db87394873855c c4c39b3a0ab05fe9
-      da39d991e07cb318 999b08ede1fd395c d3cc797a022b7238 f54061fea7b2e04e
-      a24ce566d514691b 56280a1eb01e044b 84ac2e424c497e95 612218282b037253
-      1b1dabf754acad74 e2dc3ffddd5d1f7b 4ecb4d788f24f951 3a56026d754f470e
-      d04d50f311bf5d18 bc201bb85cad818f 64b752ef1729240e cea23e8b97779890
-      d3a3cf6806b546b9 b9beb717b07e9685 b125acc988ed0406 84fdb4458b36d3b6
-      28c3f46021bf0aff 7c53aaf2edaa7b7b 70221843d46d583b 690c5b26ffd0eab1
-      4ce96c3de400deb7 f3503f974f359513 3dd80579e65c12d7 3a7e57475481b992
-      5c354101a9bf49a7 f6071986ffccdc42 08ece107834dc581 197a9d2b5b1e812c
-      ae4f04a77bb3e623 814366d57d45a2ba b5c07797b7d7bef9 6f72b660c7ea2bc0
-      708b934080a47356 e08a495f7b4c772c d54b3349677d484f 339a685f59a2cbed
-      ee162bf8af890b90 f0ba920e9616337a 21bf8dca4cbad080 07e9d4b8d109ba73
-      75ed3414cfcb42ad 398f7863f16a5881 e82cc887e0693d80 aa4dbcdd8ce68a98
-      1802a5ccb6e13e04 c0dfa153b8faabb3 fc06ef9953944aea 8488b9b8a7f3bcf5
-      80aee767593c0367 2ae1987cdb17c5e2 60a5a030b6416de6 161bcbe9a87fe054
-      a9978a800414bd94 3fbfed537ddb05d9 fe417915fcfa12ca be31bf0844fb86fb
-      008f52987824f04c 1e77c7008d0bb5bc f6deb5aee68888bc 1ba91540f1a20317
-      126ad97158399ade 0a85a680c92dd542 1e8aecdbf88e4ae8 0fed857923481d02
-      b61b42a64281c7a9 83a1d030e650384f a224aaffff958dd4 130f7c10aac2a056
-      9b79183a2711b9af 0241960dc859efab 349b91c8fccb548a 85ba1b7badcc4797
-      9899b303c2ba4a4d d5f0eb633428a316 2237fc5499f2fab0 3863f15a6939ccae
-      ba56e05563749ebb a5e0cde73637194c 3a862b7c5ec8851a e80d4d90f0483a29
-      0e8429dc956227be 2bb531d90668ccef 671b804987bb43c2 48c789d02a5e7e2f
+      edeca33555df1860 232dd666c1bad635 842772a7aa3e1991 39923f562e144ced
+      6d1bd378e895e6ce c54f7ba9d32d1c70 f78dbd23198491ff 10201ba2aba384b4
+      269829744a70fa97 1cc1f7db5b5560fd 3ffdf67de79d2d3b 945f24068ff26b94
+      69f9c1de2877f7a4 a21fb05bb1c50bd2 c81e6f35ab11a637 74be5663d3f99240
+      f52bfc6a65538127 46dcb8d738726b0a bd0d2f09651d0f8d f409f6e26cd81e08
+      c14812c9381fa22b 8876a815585df041 13c0cc0e4cba184e 8df000195bfabdd8
+      aa150552e34531aa 766fd314e4f374b7 49fa4649859c109e de8ca97e04d0d216
+      4d1ea7a976eda18a d5ea716f0f1283d4 85c49896a91955ff 6dfe26c77417f846
+      23d54d623e8a99a5 28799f4d2d5b5d95 fbaed725775b27a9 27d63173d7645729
+      a2ef52c1d72f049c dfe7435ff9804b6a 2fab084c2c6cf975 784920c227679673
+      ada66f60cd43df85 7d64bda8952da690 98c42b5f8279a4c2 fcbbf98ec73048f0
+      821bc78667a9847a e6afd3d537b30896 6d9761f81567507f 60b6cf6b07e90c6d
+      4b443369275dd2f6 a317b859012e7412 f5643ddeb75cc0d5 e70622ae3903e62b
+      99fffd7aac103965 37ebe5214a31da79 261123d01661236d 0468890ea26f46aa
+      947dd966852eeb33 0e8883e9c45e94e1 2e5966ee863a216b eb9baefe1fc2bb7c
+      05e5dd73f93422bf 47d502ccd987c681 158393cb2baf3fce a486acdee7fa01b2
+      24cd306d6a8617f1 47db027bb4740775 233179fc28b869ba 07271d1ac9620707
+      20e58d0c169a57e6 0c2a2fdfb7a6deb8 1ae2b8b090fe56ec 72a7e328db53d7a3
+      1b0dfb95d804b818 c6f8264d816bc9e2 86e18a334a2f9881 724a13fda421e7a1
+      427a9d7b1268ca3d c0abe8ba606848b0 71f494f19daf5fd9 b006cfced7b32066
+      6ded0f2e33fdb2aa 032db7f0578aef32 f2fc337884c8616c c03a5a2c406f46fe
+      3a55303135479173 d725590cac564416 754ff0098d3ca3fc 659480b66b27f135
+      9367bb6e546d33e5 5a5bd7148f512287 deaee4a9a13aeb5c 630e8d7689065b7f
+      d43553a8c50b4edb 8e4bd214af996598 169b89c2b5279af1 8de71773599aa784
+      0eecb08ff1790e74 128f01bd8ffd6ee4 438937e98468ed74 3079edcec980928f
+      b5f010a26c19a45c 5ab1065e4fbf85a5 a5089e7e1cc94ba2 e032fcd0c9d09dc1
+      a34e9b4e77436667 ce5a1a86c52de05d fc19bbf16dbb0e6d 1a1f9f8763b7c1fe
+      45b7fbf18e3fab45 2797d07c5d880ead cdf5991e9d78fb25 49911cc4aab03ecd
+      5ce1e8283769a055 5e232f28715aa60d f8632e707912ec38 be8fcddfa12cedef
+      325ee9d26cc83f7c 79909a4d277b338d 107c8d83f15728b8 e382a69d688b4e3a
       |} );
     ( "OptP-direct",
       {|
-      deb925c94e8e037b b90e2a3d16f48261 f763b3d7114a2297 5a813af52664b61f
-      09c10366a8711d64 5bd69ddf60d151bf 6a399334c07533fd 97840fc57fe5fcb5
-      07975246c5730feb d69ce67cf7a26bf6 a2b63e7b00ccc196 2244f41c21c74ae8
-      998c7ab2e0883ae4 17f885cff9a44ba4 77ae296fd6aed8b5 81fb28a74ff2fd75
-      0f7a750966e06db3 c355d11f673d5d24 8abf5da76cdde964 07f70dd0aab72b95
-      dd60583a595d4d09 cc955dbdc5e78656 386daae023c4b95c 8728bae2dab1a4da
-      85778ddd778ae60b 6ecb7c0fc607b1be daf0def4fca28199 a5031281a58ea0f6
-      faef10ca88a95025 5039d3fe87fdbcbb e6b8f57aede2f8c7 d5a99f4b9d124d3d
-      c285bdae18814fbc fb4c9beda4894a42 3da5af960c882b6d 733d28661a2aec7e
-      ce533826875acacc c44f2193fa294e07 5521db8ee19823d8 56e2f92463772827
-      794bd73331b93fce 7167e686f7add282 48c280fb82746af8 d4921067d599402d
-      132c910d5a27d838 51a690c1135fd4af c9b8ca7b5e7c7d87 e98a014ad9e69c6a
-      03a39e239e92aaa1 4580fa588289203b fe37c2b9abaace74 788af462640c016e
-      27efdaf45dccca94 30e3bb6524895957 14a2e938608f1402 84b8f0695d2ba0e0
-      1d1e7f84c84974b3 3c56d2428e8d1701 6c5c467531860583 1ff0974c68921986
-      2e02fa00254ec690 4836705ab24e4b1e c397a717fbe5a609 256fe3703d123cd3
-      6e80333894e4b6b6 c128253398ab5843 203f636e665ddcd9 1ce329b0254a8b4c
-      286ea1b2cb3dbc50 37eda128085077c4 10b3f41993b048e2 95a20f212adb969f
-      bf72b66fe8db53f5 86c6c6d89a54a045 3d2effca7b5fff56 9313d17e8a2203a1
-      e190e053e54b2bf1 9a12e75b57a7669a a0ec5b92d2077975 d18eca9563b48a7d
-      b022969435799929 31122c9d33f19d2b 96db0506ca04e141 b5c6c663a7d74da4
-      22d5828122f67797 07d113ae036eecf3 2df1ea8f511b9c79 3d97c2e06720d082
-      6651a650c6bc3976 f4c31519510ffd9a b299d464723ab32a 5a24ebea15e733ed
-      2c9416bf020a56f1 afa95e5dbea911e7 24a22e1a1f1c5ba0 f3dba1e020985602
-      8929fcee332f1481 b2240db82c260586 a24d10cc8c3d78a0 ab3d4794419b05ac
-      fbc8eebae133863a 310ffd813c77dfbd a2340ace647cba4a 8fac4d211794f1f1
-      860f07d3618bb762 7ef389f086522895 702b1d391f86d547 1c39c0bd86adfd7e
-      f19ff0467f9a187f 71c47df6d8f85e42 17b01139cb5b4624 47b569d51a7ad17b
-      59f5222c8a5c461c 877ce49cc2ba34a9 e1ca0e8fce644d53 99852535b65d5e17
-      d0c1b480eb86786d d9437eab9840a9c3 0ca503301b296c5e 305eaa6a8c87608f
+      27006e5c7d9f1f58 0e6792e779514a6b 97c9aa841c399f91 68ae78a703776956
+      644bc2d9fc8f70dc 292db705b9bcf9ef a2b131f0ae26d40f 383b28017b7de282
+      28a0977688517040 35271dbb9970eef0 1f2998e3474b3253 93db6785f3796f14
+      b939ebef4178f7d5 8ee63934349dc210 7f305683b24bf827 9a7b0d40ac35e572
+      85f8027424ba8dc9 fe14dd084883146d b64a9927c3c3c43d 71674366e4c8dd0e
+      e6f3f2797c5f24e2 7d7b0083b95b0df5 85f85ff34784ee60 a4e43302432af9da
+      3534a4ccad243b59 776527c7f9fb2e26 2830329981b7945a 75672e055d14bd4b
+      979f1b0d4704a335 2346949c26e68d12 d03b2375c7c981a9 c3145fc789b7f8b0
+      0efb0bb49e8d88ce 58964bc48e8fc3de ff43386f039dff62 34951390d0ae5ccd
+      9b917f1a1b0af761 e3c0c0a05ab30699 1467d08c2ccb4fff 3afe3456298f63bb
+      1384b11b44bcc41c 5b76ee9c7e6a6821 e432829ae13f9bd6 7b3a7789fbcb24e9
+      ef96e9ed75dea8ff 5cb150679aefaa93 10305d61eddb02e3 e7a5fa7f5b5b6bea
+      2b98263c0890daab 42fd61b53af132e3 62f49b4bcc8c758c 0e7ade0dc66787eb
+      dc1152ce8f0bf28e 8efc3bc9a5abd842 bfb7bc88ad3d8071 41675c6beaccecad
+      884b288e8dfef511 aa8ead885b9f78cf 57f12546a101646a 06773e1e02916531
+      bf4bf2dfe6cc3e84 6cdd09e050be1c73 85614d0cb337abab 8fc18fd97d04fd2a
+      de5fc98da8f020cc bb01477fa438d9e2 a4a5edec63983575 85dff9fe69eb2d37
+      76881cd76beed899 04e17fad6910067c accfcf60fc56be24 296e70eaac4170c2
+      61681dbd36da9a7e dd47ed8ba53b4f56 78272f0ff0343c81 758c8e8f3a18b7f2
+      43b1c66072a508de e9b832f7f881fcc4 114663f5771dfed3 12bbdc81acb8db87
+      31e59f231a67dc9c 8ca2e7b1a13e395a 91f0cdce99b7be85 fbbb0354e7712c61
+      b7ca7bf6774867c2 0d052b9efa710659 ae2a1d5b1df2fc95 669d967e70a4fa55
+      f96e45fa1bf07204 f22aedd163a77b6e 7286553eb8968b44 926941cbbf4a2f19
+      deec0f749a4644d3 a0c71a91de0b88fd 40c1f2ca605df768 1d11c61d5fd358ac
+      6c8cf12db78c9ce5 5d16668425864d96 f37a6fc1afc0340d da5a8759beb4e9d6
+      2ee1b77e61c7a240 3167c75a7e3119c6 4793c74e9fef7f50 66ba88572a73344d
+      f5c71ec9769d66b3 d48bd5d7f49d39a2 be16f97542816291 9634e943091d6b8d
+      025f48afb69abbf7 d3cd6371878e2b94 30bf1feea40ef6b9 d3a1b5eed76cf8b9
+      eb4211b89a30ab64 b78edf5b3935548d 974c213235c9b2d6 c3d4872cb0e14dfe
+      93ecfe94a99d2342 97ab7e87e8d6312c fe113daea5ee44b9 bbf60984c9a838df
       |} );
   ]
 

@@ -7,9 +7,10 @@
      exactly-once delivery, quiescence, backoff stats, and the
      crash-abort hook;
    - [Protocol.S.snapshot]/[restore] round-trips for every protocol;
-   - full [Fault_campaign] runs: a fixed-seed schedule on every
-     [dune runtest] (tier-1 exercises recovery), the ISSUE's scripted
-     8-replica acceptance campaign, and a property sweep over random
+   - full static crash-recovery campaigns ([Churn_campaign] with every
+     slot a member from time 0): a fixed-seed schedule on every
+     [dune runtest] (tier-1 exercises recovery), the scripted 8-replica
+     acceptance campaign, and a property sweep over random
      crash/partition schedules asserting that recovered replicas end
      with the same [Apply]/[Write_co] vectors and store as replicas
      that never crashed. *)
@@ -25,7 +26,7 @@ module Protocol = Dsm_core.Protocol
 module V = Dsm_vclock.Vector_clock
 module Dot = Dsm_vclock.Dot
 module Spec = Dsm_workload.Spec
-module Fault_campaign = Dsm_runtime.Fault_campaign
+module Churn_campaign = Dsm_runtime.Churn_campaign
 module Checker = Dsm_runtime.Checker
 
 let flat_latency = Latency.Uniform { lo = 1.; hi = 20. }
@@ -360,7 +361,7 @@ let test_plan_validation () =
   done
 
 (* ---------------------------------------------------------------- *)
-(* fault campaigns                                                   *)
+(* crash-recovery campaigns                                          *)
 (* ---------------------------------------------------------------- *)
 
 let small_plan =
@@ -378,7 +379,14 @@ let small_spec seed =
     ~think:(Latency.Exponential { mean = 10. })
     ~seed ()
 
-let check_campaign ?(optimal = true) name (o : Fault_campaign.outcome) =
+(* a static campaign: every slot of the spec is a member from time 0 *)
+let campaign (module P : Protocol.S) ?faults ?metrics ~spec ~latency ~plan
+    ~seed () =
+  Churn_campaign.run
+    (module P)
+    ~spec ~latency ?faults ~plan ~initial:spec.Spec.n ~seed ?metrics ()
+
+let check_campaign ?(optimal = true) name (o : Churn_campaign.outcome) =
   let ctx s = Printf.sprintf "%s: %s" name s in
   Alcotest.(check bool)
     (ctx "causally consistent (checker clean modulo down replicas)")
@@ -391,32 +399,52 @@ let check_campaign ?(optimal = true) name (o : Fault_campaign.outcome) =
       0 o.report.Checker.unnecessary_delays;
   Alcotest.(check bool) (ctx "live replicas converged") true o.live_equal;
   List.iter
-    (fun (r : Fault_campaign.recovery) ->
+    (fun (c : Churn_campaign.catch_up) ->
       Alcotest.(check bool)
-        (ctx (Printf.sprintf "p%d caught up" (r.rproc + 1)))
+        (ctx (Printf.sprintf "p%d recovered" (c.cproc + 1)))
         true
-        (r.caught_up_at <> None))
-    o.recoveries
+        (c.ckind = Churn_campaign.Recover);
+      Alcotest.(check bool)
+        (ctx (Printf.sprintf "p%d caught up" (c.cproc + 1)))
+        true
+        (c.converged_at <> None))
+    o.catch_ups
 
 (* the tier-1 fixed-seed schedule: every `dune runtest` exercises a
    crash, a partition, recovery and anti-entropy *)
 let test_fixed_campaign_optp () =
+  let metrics = Dsm_obs.Metrics.create () in
   let o =
-    Fault_campaign.run
+    campaign
       (module Dsm_core.Opt_p)
       ~spec:(small_spec 11)
       ~latency:(Latency.Exponential { mean = 8. })
-      ~plan:small_plan ~seed:3 ()
+      ~plan:small_plan ~seed:3 ~metrics ()
   in
   check_campaign "OptP fixed" o;
-  Alcotest.(check int) "one recovery" 1 (List.length o.recoveries);
+  Alcotest.(check int) "one recovery" 1 (List.length o.catch_ups);
   Alcotest.(check bool) "sync traffic happened" true (o.sync_requests > 0);
   Alcotest.(check bool) "partition dropped frames" true
-    (o.frames_partition_dropped > 0)
+    (o.net_partition_dropped > 0);
+  let c = List.hd o.catch_ups in
+  Alcotest.(check (option (float 0.))) "crash time recorded" (Some 120.)
+    c.crashed_at;
+  (* the rollback-depth histogram sees the one restore *)
+  match
+    List.find_map
+      (fun (name, _, v) ->
+        if name = "campaign_rollback_depth" then Some v else None)
+      (Dsm_obs.Metrics.rows metrics)
+  with
+  | Some (Dsm_obs.Metrics.Histogram_v { count; sum; _ }) ->
+      Alcotest.(check int) "one rollback observed" 1 count;
+      Alcotest.(check (float 0.)) "rollback depth"
+        (float_of_int c.rolled_back) sum
+  | _ -> Alcotest.fail "campaign_rollback_depth not registered"
 
 let test_fixed_campaign_anbkh () =
   let o =
-    Fault_campaign.run
+    campaign
       (module Dsm_core.Anbkh)
       ~spec:(small_spec 12)
       ~latency:(Latency.Exponential { mean = 8. })
@@ -424,48 +452,23 @@ let test_fixed_campaign_anbkh () =
   in
   check_campaign ~optimal:false "ANBKH fixed" o
 
-(* the ISSUE's acceptance schedule: 8 replicas, 2 crash mid-run, a
-   500-time-unit partition, heal, recover, quiesce *)
-let acceptance_plan =
-  let t f = Sim_time.of_float f in
-  Fault_plan.make
-    [
-      Fault_plan.Cut
-        { groups = [ [ 0; 1; 2; 3 ]; [ 4; 5; 6; 7 ] ]; at = t 300. };
-      Fault_plan.Crash { proc = 2; at = t 400. };
-      Fault_plan.Crash { proc = 5; at = t 500. };
-      Fault_plan.Heal { at = t 800. };
-      Fault_plan.Recover { proc = 2; at = t 1000. };
-      Fault_plan.Recover { proc = 5; at = t 1100. };
-    ]
-
-let acceptance_spec =
-  Spec.make ~n:8 ~m:4 ~ops_per_process:60 ~write_ratio:0.4
-    ~think:(Latency.Exponential { mean = 20. })
-    ~seed:2026 ()
-
+(* the acceptance schedule ({!Dsm_runtime.Experiment.acceptance_plan}):
+   8 replicas, 2 crash mid-run, a 500-time-unit partition, heal,
+   recover, quiesce *)
 let test_acceptance_campaign () =
-  let o =
-    Fault_campaign.run
-      (module Dsm_core.Opt_p)
-      ~spec:acceptance_spec
-      ~latency:(Latency.Exponential { mean = 10. })
-      ~plan:acceptance_plan ~seed:5 ()
-  in
+  let o = Dsm_runtime.Experiment.acceptance_campaign () in
   check_campaign "acceptance" o;
-  Alcotest.(check (list int)) "everyone lives at the end" []
-    o.down_at_end;
-  Alcotest.(check int) "two recoveries" 2 (List.length o.recoveries);
+  Alcotest.(check (list int)) "everyone lives at the end"
+    (List.init 8 Fun.id) o.active_at_end;
+  Alcotest.(check int) "two recoveries" 2 (List.length o.catch_ups);
   Alcotest.(check int) "all 8 replicas compared" 8
     (List.length o.final_states);
-  (* byte-identical: the per-field comparison that live_equal certifies
-     is re-checked here through the serialized states of the ISSUE *)
-  Alcotest.(check bool) "replayed or nothing missed" true
-    (o.replayed_writes >= 0);
+  Alcotest.(check bool) "anti-entropy replayed writes" true
+    (o.replayed_writes > 0);
   Alcotest.(check bool) "partition was felt" true
-    (o.frames_partition_dropped > 0);
+    (o.net_partition_dropped > 0);
   Alcotest.(check bool) "crashes were felt" true
-    (o.frames_crash_dropped > 0 || o.aborted_payloads > 0)
+    (o.net_crash_dropped > 0 || o.aborted_payloads > 0)
 
 (* property: random crash/partition schedules; a recovered replica's
    Write_co/Apply equal those of a never-crashed replica after
@@ -484,7 +487,7 @@ let test_random_campaigns () =
         ~seed ()
     in
     let o =
-      Fault_campaign.run
+      campaign
         (module Dsm_core.Opt_p)
         ~spec
         ~latency:(Latency.Exponential { mean = 9. })
@@ -494,11 +497,11 @@ let test_random_campaigns () =
     check_campaign name o;
     (* explicit satellite assertion: recovered vs never-crashed *)
     let crashed_procs =
-      List.map (fun (r : Fault_campaign.recovery) -> r.rproc) o.recoveries
+      List.map (fun (c : Churn_campaign.catch_up) -> c.cproc) o.catch_ups
     in
     let witness =
       List.find_opt
-        (fun (s : Fault_campaign.replica_state) ->
+        (fun (s : Churn_campaign.replica_state) ->
           not (List.mem s.sproc crashed_procs))
         o.final_states
     in
@@ -506,7 +509,7 @@ let test_random_campaigns () =
     | None -> ()
     | Some w ->
         List.iter
-          (fun (s : Fault_campaign.replica_state) ->
+          (fun (s : Churn_campaign.replica_state) ->
             if List.mem s.sproc crashed_procs then begin
               Alcotest.(check (array int))
                 (name ^ ": recovered Apply = never-crashed Apply")
@@ -530,13 +533,13 @@ let test_unrecovered_crash () =
     Fault_plan.make [ Fault_plan.Crash { proc = 3; at = t 150. } ]
   in
   let o =
-    Fault_campaign.run
+    campaign
       (module Dsm_core.Opt_p)
       ~spec:(small_spec 21)
       ~latency:(Latency.Exponential { mean = 8. })
       ~plan ~seed:9 ()
   in
-  Alcotest.(check (list int)) "p4 stays down" [ 3 ] o.down_at_end;
+  Alcotest.(check (list int)) "p4 stays down" [ 0; 1; 2 ] o.active_at_end;
   Alcotest.(check bool) "still clean" true o.clean;
   Alcotest.(check bool) "live replicas still converge" true o.live_equal;
   Alcotest.(check int) "three live states" 3 (List.length o.final_states)
@@ -564,7 +567,7 @@ let test_permanent_crash_lossy () =
       ]
   in
   let o =
-    Fault_campaign.run
+    campaign
       (module Dsm_core.Opt_p)
       ~spec
       ~latency:(Latency.Exponential { mean = 12. })
@@ -572,8 +575,9 @@ let test_permanent_crash_lossy () =
       ~plan ~seed:7 ()
   in
   check_campaign "permanent crash + lossy links" o;
-  Alcotest.(check (list int)) "p4 stays down" [ 4 ] o.down_at_end;
-  Alcotest.(check int) "one recovery" 1 (List.length o.recoveries);
+  Alcotest.(check (list int)) "p5 stays down" [ 0; 1; 2; 3; 5 ]
+    o.active_at_end;
+  Alcotest.(check int) "one recovery" 1 (List.length o.catch_ups);
   Alcotest.(check int) "five live states" 5 (List.length o.final_states);
   Alcotest.(check bool) "the corpse's send queue was abandoned" true
     (o.aborted_payloads > 0)
