@@ -1,10 +1,9 @@
 (* Unit and property tests for the vector-clock substrate:
-   Vector_clock, Dot, Clock_order, Matrix_clock. *)
+   Vector_clock, Dot, Clock_order. *)
 
 module V = Dsm_vclock.Vector_clock
 module Dot = Dsm_vclock.Dot
 module Clock_order = Dsm_vclock.Clock_order
-module Matrix_clock = Dsm_vclock.Matrix_clock
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -433,41 +432,6 @@ let prop_covers_subset_of_lt =
       List.for_all (fun (a, b) -> V.lt a b) (Clock_order.covers clocks))
 
 (* ------------------------------------------------------------------ *)
-(* Matrix_clock                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_matrix_tick_observe () =
-  let m = Matrix_clock.create 3 in
-  Matrix_clock.tick m 0;
-  Matrix_clock.tick m 0;
-  check_int "own event count" 2 (Matrix_clock.get m 0 0);
-  Matrix_clock.observe m 1 (V.of_list [ 2; 0; 0 ]);
-  check_int "row 1 learned p0's events" 2 (Matrix_clock.get m 1 0)
-
-let test_matrix_merge_from () =
-  let a = Matrix_clock.create 2 and b = Matrix_clock.create 2 in
-  Matrix_clock.tick b 1;
-  Matrix_clock.tick b 1;
-  Matrix_clock.merge_from a ~sender:1 b;
-  check_int "absorbed sender row" 2 (Matrix_clock.get a 1 1)
-
-let test_matrix_stability () =
-  let m = Matrix_clock.create 2 in
-  let d = Dot.make ~replica:0 ~seq:1 in
-  check_bool "not stable initially" false (Matrix_clock.is_stable m d);
-  Matrix_clock.observe m 0 (V.of_list [ 1; 0 ]);
-  Matrix_clock.observe m 1 (V.of_list [ 1; 0 ]);
-  check_bool "stable once all rows know it" true
-    (Matrix_clock.is_stable m d);
-  check_int "stable_seq" 1 (Matrix_clock.stable_seq m 0)
-
-let test_matrix_copy_independent () =
-  let m = Matrix_clock.create 2 in
-  let c = Matrix_clock.copy m in
-  Matrix_clock.tick m 0;
-  check_int "copy unaffected" 0 (Matrix_clock.get c 0 0)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "vclock"
@@ -542,13 +506,5 @@ let () =
           Alcotest.test_case "width" `Quick test_width;
           prop_topo_sort_always_linear;
           prop_covers_subset_of_lt;
-        ] );
-      ( "matrix_clock",
-        [
-          Alcotest.test_case "tick/observe" `Quick test_matrix_tick_observe;
-          Alcotest.test_case "merge_from" `Quick test_matrix_merge_from;
-          Alcotest.test_case "stability" `Quick test_matrix_stability;
-          Alcotest.test_case "copy independent" `Quick
-            test_matrix_copy_independent;
         ] );
     ]
