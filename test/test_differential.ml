@@ -657,11 +657,12 @@ let golden_digests =
 (* The unclean runs, pinned as they are in both drivers with the writes
    the audit reports lost ([proc:dot]). Each has a slot that crashes for
    good under drop and corruption, its send queue abandoned at the
-   crash. On plans 5 and 113 some of the corpse's writes never left it
-   and are missing at every survivor. On plan 95 one of them reached a
-   single survivor after the survivors' gossip rounds had ended, so the
-   others never apply it (live_equal=false); under ANBKH that
-   survivor's later writes stay buffered behind it. *)
+   crash. On plans 5 and 113 some of the corpse's writes reached no
+   survivor and are missing at all of them. On plan 95 one of them reached a
+   single survivor, which held it buffered through the survivors'
+   gossip rounds and applied it only afterwards, so the others never
+   apply it (live_equal=false); under ANBKH that survivor's later
+   writes stay buffered behind it. *)
 let unclean_runs =
   let lost_95 = "1:2.4 3:2.4" in
   let lost_5 = "0:1.3 2:1.3 0:1.4 2:1.4 0:1.5 2:1.5" in
