@@ -894,7 +894,9 @@ let churn_setup ~n ~seed ~crashes ~partitions ~joins ~leaves ~initial ~churn
       end
   | None ->
       let ini = Option.value initial ~default:n in
-      if ini < 2 || ini > n then
+      if initial = None && n < 2 then
+        Error "campaigns (--crash/--partition/churn flags) need -n >= 2"
+      else if ini < 2 || ini > n then
         Error "--initial must be in 2..n"
       else Ok (plan_of ~joins ~leaves ~crashes ~partitions (), ini)
 
