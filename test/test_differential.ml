@@ -396,26 +396,6 @@ let parity_plan i =
     seed;
   }
 
-(* what a static crash-recovery run is compared on *)
-type parity_run = {
-  execution : Execution.t;
-  history : History.t;
-  states :
-    (int * int array * int array * (Operation.value * Dot.t option) list)
-    list;
-      (** proc, Apply, local clock, store *)
-  recoveries : (int * float * float * int * float option * int) list;
-      (** proc, crashed at, recovered at, rolled back, caught up at,
-          replayed *)
-  down_at_end : int list;
-  counts : int list;
-  end_time : float;
-  clean : bool;
-  live_equal : bool;
-  report : Checker.report;
-  wire : Wire.stats;
-}
-
 let dot_text d = Printf.sprintf "%d.%d" (Dot.replica d) (Dot.seq d)
 let opt_dot = function None -> "-" | Some d -> dot_text d
 
@@ -448,99 +428,69 @@ let op_text = function
         (value_text r.rvalue) (opt_dot r.read_from)
 
 (* canonical text rendering of a run; floats in hex, so exact *)
-let parity_text r =
+let parity_text (o : Churn_campaign.outcome) ~wire =
   let b = Buffer.create 65536 in
   let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') b fmt in
   List.iter
     (fun (e : Execution.event) ->
       line "%d %h %s" e.proc (Dsm_sim.Sim_time.to_float e.time)
         (kind_text e.kind))
-    (Execution.events r.execution);
-  List.iter (fun op -> line "%s" (op_text op)) (History.ops r.history);
+    (Execution.events o.execution);
+  List.iter (fun op -> line "%s" (op_text op)) (History.ops o.history);
   List.iter
-    (fun (p, applied, clock, store) ->
-      line "state %d apply=%s clock=%s store=%s" p
-        (ints (Array.to_list applied))
-        (ints (Array.to_list clock))
+    (fun (s : Churn_campaign.replica_state) ->
+      line "state %d apply=%s clock=%s store=%s" s.sproc
+        (ints (Array.to_list s.sapplied))
+        (ints (Array.to_list s.sclock))
         (String.concat ","
-           (List.map
-              (fun (v, d) -> value_text v ^ "@" ^ opt_dot d)
-              store)))
-    r.states;
+           (List.map (fun (v, d) -> value_text v ^ "@" ^ opt_dot d) s.sstore)))
+    o.final_states;
+  let hex_opt = function Some t -> Printf.sprintf "%h" t | None -> "-" in
   List.iter
-    (fun (p, crashed, recovered, rolled_back, caught_up, replayed) ->
-      line "recovery %d crashed=%h recovered=%h rolled_back=%d caught_up=%s \
+    (fun (c : Churn_campaign.catch_up) ->
+      line "recovery %d crashed=%s recovered=%h rolled_back=%d caught_up=%s \
             replayed=%d"
-        p crashed recovered rolled_back
-        (match caught_up with
-        | Some t -> Printf.sprintf "%h" t
-        | None -> "-")
-        replayed)
-    r.recoveries;
-  line "down %s" (ints r.down_at_end);
-  line "counts %s" (ints r.counts);
-  line "end %h clean=%b live_equal=%b" r.end_time r.clean r.live_equal;
-  let a = r.report in
+        c.cproc (hex_opt c.crashed_at) c.started_at c.rolled_back
+        (hex_opt c.converged_at) c.replayed)
+    o.catch_ups;
+  let n = Execution.n_processes o.execution in
+  line "down %s"
+    (ints
+       (List.filter
+          (fun p -> not (List.mem p o.active_at_end))
+          (List.init n Fun.id)));
+  line "counts %s"
+    (ints
+       [
+         o.payloads_sent; o.frames_sent; o.retransmissions;
+         o.duplicates_discarded; o.aborted_payloads; o.engine_steps;
+         o.commits; o.snapshot_bytes; o.rolled_back_events;
+         o.ops_skipped_inactive; o.sync_requests; o.sync_replies;
+         o.replayed_writes; o.stale_deliveries_dropped;
+         o.net_partition_dropped; o.net_crash_dropped;
+       ]);
+  line "end %h clean=%b live_equal=%b" o.end_time o.clean o.live_equal;
+  let a = o.report in
   line "audit applies=%d delays=%d necessary=%d unnecessary=%d violations=%d"
     a.Checker.total_applies a.Checker.total_delays a.Checker.necessary_delays
     a.Checker.unnecessary_delays
     (List.length a.Checker.violations);
-  let w = r.wire in
+  let w = Wire.totals wire in
   line "wire frames=%d header=%d payload=%d meta=%d delta=%d" w.Wire.frames
     w.Wire.header w.Wire.payload w.Wire.meta w.Wire.delta_meta;
   Buffer.contents b
 
-let parity_digest r =
-  String.sub (Digest.to_hex (Digest.string (parity_text r))) 0 16
-
 let churn_parity_run (module P : Dsm_core.Protocol.S) c =
-  let n = c.spec.Spec.n in
-  let wire = Wire.create ~proto:P.name ~n () in
+  let wire = Wire.create ~proto:P.name ~n:c.spec.Spec.n () in
   let o =
     Churn_campaign.run
       (module P)
       ~spec:c.spec
       ~latency:(Latency.Exponential { mean = 8. })
-      ~faults:c.faults ~plan:c.plan ~initial:n ~settle:c.settle
+      ~faults:c.faults ~plan:c.plan ~initial:c.spec.Spec.n ~settle:c.settle
       ~checkpoint_every:c.checkpoint_every ~seed:c.seed ~wire ()
   in
-  {
-    execution = o.Churn_campaign.execution;
-    history = o.history;
-    states =
-      List.map
-        (fun (s : Churn_campaign.replica_state) ->
-          (s.sproc, s.sapplied, s.sclock, s.sstore))
-        o.final_states;
-    recoveries =
-      List.map
-        (fun (c : Churn_campaign.catch_up) ->
-          ( c.cproc,
-            Option.value c.crashed_at ~default:Float.nan,
-            c.started_at,
-            c.rolled_back,
-            c.converged_at,
-            c.replayed ))
-        o.catch_ups;
-    down_at_end =
-      List.filter
-        (fun p -> not (List.mem p o.active_at_end))
-        (List.init n Fun.id);
-    counts =
-      [
-        o.payloads_sent; o.frames_sent; o.retransmissions;
-        o.duplicates_discarded; o.aborted_payloads; o.engine_steps;
-        o.commits; o.snapshot_bytes; o.rolled_back_events;
-        o.ops_skipped_inactive; o.sync_requests; o.sync_replies;
-        o.replayed_writes; o.stale_deliveries_dropped;
-        o.net_partition_dropped; o.net_crash_dropped;
-      ];
-    end_time = o.end_time;
-    clean = o.clean;
-    live_equal = o.live_equal;
-    report = o.report;
-    wire = Wire.totals wire;
-  }
+  (o, String.sub (Digest.to_hex (Digest.string (parity_text o ~wire))) 0 16)
 
 let parity_protocols : (string * (module Dsm_core.Protocol.S)) list =
   [
@@ -679,11 +629,11 @@ let unclean_runs =
     ("OptP-direct", 113, lost_113);
   ]
 
-let lost_text r =
+let lost_text (o : Churn_campaign.outcome) =
   String.concat " "
     (List.map
        (fun (p, d) -> Printf.sprintf "%d:%s" p (dot_text d))
-       r.report.Checker.lost)
+       o.report.Checker.lost)
 
 let test_churn_free_parity (name, golden) () =
   let p = List.assoc name parity_protocols in
@@ -696,14 +646,14 @@ let test_churn_free_parity (name, golden) () =
   List.iteri
     (fun i want ->
       let ctx s = Printf.sprintf "%s plan %d: %s" name i s in
-      let r = churn_parity_run p (parity_plan i) in
-      Alcotest.(check string) (ctx "golden digest") want (parity_digest r);
+      let o, digest = churn_parity_run p (parity_plan i) in
+      Alcotest.(check string) (ctx "golden digest") want digest;
       Alcotest.(check (option string))
         (ctx "clean, or the pinned lost writes")
         (List.find_map
            (fun (n, j, lost) -> if n = name && j = i then Some lost else None)
            unclean_runs)
-        (if r.clean then None else Some (lost_text r)))
+        (if o.clean then None else Some (lost_text o)))
     digests
 
 let () =
