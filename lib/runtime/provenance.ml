@@ -61,7 +61,7 @@ type delay_explanation = {
   evar : int;
   eclass : Checker.delay_class;
   ewaiting_for : Dot.t option;
-  eblocking : Dot.t list;
+  eblocking : Checker.range list;
   eblocked_at : float option;
   eapplied_at : float option;
   ewait : float option;
@@ -77,30 +77,42 @@ type explanation = {
   witnessed : int;
 }
 
+(* [w] is one of the dots [Checker.blocking_dots] expands [r] into *)
+let in_range w (r : Checker.range) =
+  Dot.replica w = r.issuer
+  && Dot.gen w = r.gen
+  && r.first <= Dot.seq w
+  && Dot.seq w <= r.last
+
 let explain exec (report : Checker.report) =
   let var_of = Hashtbl.create 64 in
   List.iter
     (fun (dot, var, _) -> Hashtbl.replace var_of dot var)
     (Execution.writes exec);
-  (* first Blocked record per (proc, dot): when buffering began and
-     which predecessor the protocol claimed to wait on *)
+  (* one pass over the events: the first Blocked record per (proc, dot)
+     — when buffering began and which predecessor the protocol claimed
+     to wait on — and the first apply per (proc, dot) *)
   let claimed = Hashtbl.create 64 in
+  let applied = Hashtbl.create 64 in
   List.iter
-    (fun (proc, dot, waiting_for, time) ->
-      let key = (proc, dot) in
-      if not (Hashtbl.mem claimed key) then
-        Hashtbl.add claimed key (waiting_for, Sim_time.to_float time))
-    (Execution.blocked_events exec);
+    (fun { Execution.proc; time; kind } ->
+      match kind with
+      | Execution.Blocked { dot; waiting_for } ->
+          if not (Hashtbl.mem claimed (proc, dot)) then
+            Hashtbl.add claimed (proc, dot)
+              (waiting_for, Sim_time.to_float time)
+      | Execution.Apply { dot; _ } ->
+          if not (Hashtbl.mem applied (proc, dot)) then
+            Hashtbl.add applied (proc, dot) (Sim_time.to_float time)
+      | _ -> ())
+    (Execution.events exec);
   let rows =
     List.map
       (fun (d : Checker.delay) ->
         let claim = Hashtbl.find_opt claimed (d.dproc, d.ddot) in
         let ewaiting_for = Option.map fst claim in
         let eblocked_at = Option.map snd claim in
-        let eapplied_at =
-          Option.map Sim_time.to_float
-            (Execution.apply_time exec ~proc:d.dproc ~dot:d.ddot)
-        in
+        let eapplied_at = Hashtbl.find_opt applied (d.dproc, d.ddot) in
         let ewait =
           match (eblocked_at, eapplied_at) with
           | Some b, Some a -> Some (a -. b)
@@ -108,7 +120,7 @@ let explain exec (report : Checker.report) =
         in
         let eagrees =
           match ewaiting_for with
-          | Some w -> List.exists (Dot.equal w) d.dblocking
+          | Some w -> List.exists (in_range w) d.dblocking
           | None -> false
         in
         {
@@ -161,7 +173,8 @@ let pp_row ppf r =
   | None, _ -> Format.fprintf ppf " — no buffering record (unattributed)");
   (match r.eclass with
   | Checker.Necessary ->
-      Format.fprintf ppf "; missing at receipt: %a" pp_dots r.eblocking
+      Format.fprintf ppf "; missing at receipt: %a" pp_dots
+        (Checker.blocking_dots r.eblocking)
   | Checker.Unnecessary ->
       Format.fprintf ppf "; nothing causally missing");
   (match (r.eapplied_at, r.ewait) with

@@ -51,7 +51,8 @@ type delay_explanation = {
   ewaiting_for : Dsm_vclock.Dot.t option;
       (** the protocol's claim ([None]: no [Blocked] event — round-based
           protocols leave provenance unattributed) *)
-  eblocking : Dsm_vclock.Dot.t list;  (** checker ground truth *)
+  eblocking : Checker.range list;
+      (** checker ground truth, as {!Checker.delay}'s ranges *)
   eblocked_at : float option;
   eapplied_at : float option;
   ewait : float option;  (** apply minus blocked, when both known *)
