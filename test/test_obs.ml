@@ -271,9 +271,12 @@ let test_blocked_records_match_checker_delays () =
   let sort = List.sort_uniq compare in
   let blocked =
     sort
-      (List.map
-         (fun (proc, d, _, _) -> (proc, Dot.to_string d))
-         (Execution.blocked_events o.Sim_run.execution))
+      (List.filter_map
+         (fun (e : Execution.event) ->
+           match e.kind with
+           | Execution.Blocked { dot; _ } -> Some (e.proc, Dot.to_string dot)
+           | _ -> None)
+         (Execution.events o.Sim_run.execution))
   in
   let delays =
     sort
