@@ -1282,7 +1282,7 @@ module Soak_bench = struct
 
   let results : Soak.outcome option ref = ref None
 
-  (* The endurance claim: thousands of occupant lifetimes over a fixed
+  (* The endurance claim: hundreds of occupant lifetimes over a fixed
      6-slot universe, with per-replica metadata and wire vector width
      bounded by live membership rather than by the run's length. Quick
      mode shortens the run; the bounds being checked are identical. *)

@@ -114,6 +114,7 @@ module Make (B : Buffer.S) = struct
     let m = { var; value; dot; wco } in
     Replica_store.apply t.store ~var ~value ~dot;
     V.tick t.apply_cnt t.me;
+    if t.my_gen > 0 then V.set_gen t.apply_cnt t.me t.my_gen;
     B.note_advance t.buffer ~status:(status t) ~counter:t.me
       ~count:(V.unsafe_get t.apply_cnt t.me);
     t.last_write_on.(var) <- wco;

@@ -116,6 +116,7 @@ let write t ~var ~value =
   let m = { var; value; dot; deps } in
   Replica_store.apply t.store ~var ~value ~dot;
   V.tick t.apply_cnt t.me;
+  if t.my_gen > 0 then V.set_gen t.apply_cnt t.me t.my_gen;
   t.last_write_on.(var) <- wco;
   Hashtbl.replace t.seen dot wco;
   let applied =

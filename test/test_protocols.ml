@@ -576,6 +576,35 @@ let test_direct_reconstructs_wco () =
   check_int "p3 sent one dep entry" 1 (Opt_p_direct.total_dep_entries p3)
 
 (* ------------------------------------------------------------------ *)
+(* Slot reuse                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* An adopter continues its slot's write counter: after a gen-1
+   occupant of p2 wrote x, y, y, a gen-2 adopter built from its image
+   must issue seq 4 even after a read merges x's gen-1 metadata into
+   its clock. A stale generation on the own Apply entry let that merge
+   lower the counter, re-issuing a predecessor's sequence number. *)
+let test_adopt_continues_counter (module P : Protocol.S) () =
+  let old = P.create cfg3 ~me:1 in
+  P.set_generation old ~gen:1;
+  List.iter (fun var -> ignore (P.write old ~var ~value:(10 + var))) [ 0; 1; 1 ];
+  let t = P.adopt cfg3 ~me:1 ~gen:2 ~sponsor:(P.snapshot old) in
+  ignore (P.read t ~var:0);
+  let dot, _ = P.write t ~var:0 ~value:99 in
+  check_int (P.name ^ ": seq continues") 4 (Dot.seq dot);
+  check_int (P.name ^ ": adopter's generation") 2 (Dot.gen dot)
+
+let adopting_protocols : (module Protocol.S) list =
+  [
+    (module Opt_p);
+    (module Dsm_core.Opt_p_direct);
+    (module Opt_p_ws);
+    (module Ws_receiver);
+    (module Anbkh);
+    (module Dsm_core.Canary);
+  ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "protocols"
@@ -649,6 +678,14 @@ let () =
           Alcotest.test_case "vector reconstruction" `Quick
             test_direct_reconstructs_wco;
         ] );
+      ( "slot reuse",
+        List.map
+          (fun (module P : Protocol.S) ->
+            Alcotest.test_case
+              (P.name ^ " adopter continues the counter")
+              `Quick
+              (test_adopt_continues_counter (module P)))
+          adopting_protocols );
       ( "ws_token",
         [
           Alcotest.test_case "initial state" `Quick test_token_initial_state;
