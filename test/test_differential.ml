@@ -656,6 +656,219 @@ let test_churn_free_parity (name, golden) () =
         (if o.clean then None else Some (lost_text o)))
     digests
 
+(* Churny campaigns: the runs the churn-free sweep never reaches —
+   fresh joins, crash-rejoins, graceful leaves, detector suspicions and
+   their refutations, client sessions migrating between homes. Pinned
+   the same way, as the first 16 hex digits of an MD5 over a canonical
+   rendering: [parity_text] plus the membership, catch-up, detector and
+   session fields it leaves out. The corpus covers every Nemesis
+   scenario, a block of random schedules under each complete-broadcast
+   protocol, and the emergent (detector-driven) plan of the CI smoke.
+   Random seeds alone would not do: none of the first 96 per protocol
+   refutes a suspicion, while five corpus scenarios do. *)
+module Nemesis = Dsm_runtime.Nemesis
+module Session_tier = Dsm_runtime.Session_tier
+
+let churny_text (o : Churn_campaign.outcome) ~wire =
+  let b = Buffer.create 65536 in
+  Buffer.add_string b (parity_text o ~wire);
+  let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') b fmt in
+  let hex_opt = function Some t -> Printf.sprintf "%h" t | None -> "-" in
+  line "membership joins=%d rejoins=%d leaves=%d epoch=%d" o.joins o.rejoins
+    o.leaves o.final_epoch;
+  List.iter
+    (fun (c : Churn_campaign.catch_up) ->
+      line "catch-up %d %s transfer=%d gap=%d bytes=%d"
+        c.cproc
+        (match c.ckind with
+        | Churn_campaign.Fresh_join -> "join"
+        | Rejoin -> "rejoin"
+        | Recover -> "recover")
+        c.transfer_writes c.transfer_gap c.transfer_bytes)
+    o.catch_ups;
+  List.iter
+    (fun (s : Churn_campaign.suspicion) ->
+      line "suspicion %d by %d phi=%h at=%h true=%b latency=%s refuted=%s"
+        s.speer s.sobserver s.sphi s.sat s.strue (hex_opt s.slatency)
+        (hex_opt s.srefuted_at))
+    o.suspicions;
+  List.iter
+    (fun (epoch, at, why) -> line "view %d %h %s" epoch at why)
+    o.view_reasons;
+  line "fd heartbeats=%d false=%d refutations=%d transfer=%d leaks=%d"
+    o.heartbeats_sent o.false_suspicions o.refutations o.transfer_bytes
+    o.quarantine_leaks;
+  (match o.sessions with
+  | None -> ()
+  | Some r ->
+      line "sessions %s"
+        (ints
+           [
+             r.Session_tier.ops_done; r.writes_done; r.reads_done; r.retries;
+             r.blocked_rejections; r.unavailable_rejections; r.dedup_hits;
+             r.replies_lost; List.length r.degraded; r.duplicate_writes;
+             List.length r.migrations;
+           ]);
+      List.iter
+        (fun v ->
+          line "%s"
+            (Format.asprintf "%a" Dsm_memory.Session_guarantees.pp_violation v))
+        r.violations);
+  Buffer.contents b
+
+(* one schedule, driven exactly as [Nemesis.run] drives it, with a wire
+   accountant attached; a campaign that raises renders as its error *)
+let churny_run (s : Nemesis.schedule) =
+  match Nemesis.protocol_by_name s.protocol with
+  | None -> Alcotest.fail ("unknown protocol " ^ s.protocol)
+  | Some (Dsm_core.Protocol.Packed (module P)) -> (
+      let spec =
+        Spec.make ~n:s.universe ~m:s.vars ~ops_per_process:s.ops_per_process
+          ~write_ratio:s.write_ratio ~seed:s.seed ()
+      in
+      let wire = Wire.create ~proto:P.name ~n:s.universe () in
+      match
+        Churn_campaign.run
+          (module P)
+          ~spec ~latency:s.latency ?faults:s.faults ~plan:s.plan
+          ~initial:s.initial ?detector:s.detector ~mixed:true
+          ?sessions:s.sessions ~seed:s.seed ~wire ()
+      with
+      | o -> (Some o, churny_text o ~wire)
+      | exception e -> (None, "raised " ^ Printexc.to_string e))
+
+(* the emergent-membership smoke of CI: [dsm-sim run -n 6 -m 3 --ops 25
+   --seed 3 --latency exp:8 --fd --crash 1@120:320 --crash 3@200] *)
+let fd_smoke_run () =
+  let t = Dsm_sim.Sim_time.of_float in
+  let spec =
+    Spec.make ~n:6 ~m:3 ~ops_per_process:25 ~write_ratio:0.5 ~seed:3 ()
+  in
+  let wire = Wire.create ~proto:Dsm_core.Opt_p.name ~n:6 () in
+  let o =
+    Churn_campaign.run
+      (module Dsm_core.Opt_p)
+      ~spec
+      ~latency:(Latency.Exponential { mean = 8. })
+      ~faults:Network.no_faults
+      ~plan:
+        (Fault_plan.make
+           [
+             Fault_plan.Crash { proc = 1; at = t 120. };
+             Fault_plan.Recover { proc = 1; at = t 320. };
+             Fault_plan.Crash { proc = 3; at = t 200. };
+           ])
+      ~initial:6
+      ~detector:(Dsm_runtime.Failure_detector.config ~threshold:3. ())
+      ~seed:3 ~wire ()
+  in
+  (Some o, churny_text o ~wire)
+
+let churny_seeds = 48
+
+let churny_cases =
+  List.map
+    (fun (sc : Nemesis.scenario) ->
+      ("scenario " ^ sc.sched_.name, fun () -> churny_run sc.sched_))
+    Nemesis.scenarios
+  @ List.concat_map
+      (fun protocol ->
+        List.init churny_seeds (fun i ->
+            ( Printf.sprintf "%s seed %d" protocol (i + 1),
+              fun () ->
+                churny_run (Nemesis.random_schedule ~protocol ~seed:(i + 1) ())
+            )))
+      [ "optp"; "anbkh"; "optp-direct" ]
+  @ [ ("fd smoke", fd_smoke_run) ]
+
+(* the first 16 hex digits of each case's [churny_text] MD5, in
+   [churny_cases] order *)
+let golden_churny =
+  {|
+      6a6fb3411edad729 f3910a5f1b61f68a 63e885a37058a29c 4b83d9e06b22882f
+      fd8e0840df9de16e 8cafe5f77314d9ea 7ff5aea849dd0b65 aaadfc16f7454b18
+      c08a13ee33bd47a1 fe1279b5d9bc449b 4e09bdc71aaa3a21 f314c5b20c971f10
+      ebd56ff4c9536e6c c7593247efff9f19 3a966ed9a14f649f bb47257104b8004e
+      be1963d2f2341097 d68a4e81979a5cb2 39c1d8d5abcd5905 f64e3d631ed73fae
+      c64f374863fa3f65 ec8f266e37356a8b 385a6c309c157265 ec81e135ce369dab
+      1691ed518635d8df b18c2a5a16ff550e 4a240a43327f7684 5dc0b877803fc9ed
+      75f7148876963def 6abd2b0451512419 2aca3b132d631fb9 9cb39b94db7e633e
+      972f6fa072277298 7a19b4ef19d53f5b b4597cd9f6739d66 8463642d387e7244
+      ced19104ddc6a3a8 324ab27bbe7eb33e c4c8cea7bfc4642e 09722c61dd2470a7
+      4e3e806e858c6780 610d5f4916111217 187c17241ac8b6a7 956830a12454770f
+      cc990051f296daa2 c8ae781b4a1e498d 53ae7d7ec8c18ecb 720745b66fcdad62
+      8bedc275b424ef15 09eb727809faccdd 4fa96e0ef15a7433 8b9765f8f3b1d7ef
+      fdeddd081a55bea6 ecac2cb7a9d5c2cb 0e9784a5cc31590e 12f9cc4fd11f0b95
+      f42340e89b0d7e7e 313485eb1897882d d08ea74036f5b83e 3f253f69d0856891
+      1e6a1c42c2b3dfb8 af2670cf9c05359b 79ddf89c75b7c753 2f6246f058a31e45
+      d8bee0f5cfb70c94 6cfd93ec26bfc3aa 83a6cb6f7b8df9ea fe80d5e120072665
+      8847ba4a6aeb7406 38e4e793b6c3ab9d ad6487f63cd8185e c75e1d1efe766f2e
+      28fefa2b2b649743 1fc2c8816a6fd37b 39d38a1cf9e72f03 4b6cc7750aa6fbef
+      7a6ef6ecdaeb0057 adddb7b888bbb65f 0e2c8baf9918c3c1 8160c5c740308e5f
+      005c948d621c5d6c cebaa2b8ebdeb408 9d60b769527b1636 b0c11947c14a0bed
+      0ff9ebdea433553c 5561d29de0e78d10 49c533b631c7b965 9b41876fdacff7f7
+      377434af8509aa7c 4d27b5840f827603 31185d5f4818aeb4 a0a3317b8ba841d0
+      bb4ae004afc791a8 7aab9f667786202f 787325a23d8e5d8b 78613c16d94e124b
+      1eec88d88c7bf8c5 9a480eed6cc77fad 9f6c390e7614234b 4074656b61a61457
+      18b7a27dda3806fc 63637df693a6651a a8d34d8e4533aa1b 5520e566de36fdc2
+      a81f3aa723e655ac 3babb23ace821a28 eabf376e9f7c186a 319459b772d30836
+      ad798dd32d6d7b24 d920d5bd3a44267a 1fc30041df688940 8f52b662b24b4b4f
+      30843934b0665287 a8cb381e7ac45c2d c8ddf6c218dd60ea d9abe9577da99aa7
+      15b993a4cea62ab2 4e17114df196a147 c663e4337c0f6fff 98fed3eb9b6a1b6c
+      f5a7a6270a9eee64 659d121ad4989624 c239d8f5f72b583a 3a0c0366d0c9ad5b
+      9e13f525b7ebce63 e8c3df3deac448c7 e1a2a2078228c21a 9bb2aab9de22da17
+      197b7b315aef681b 395a6a101cae3d5d 5614d6a486dd3182 e440063a93232389
+      4e0a78e9e3c9cdef 038a94db7fc7f48f 0669ce53c1126a5d b391b91b84e64028
+      9128e8340706e39b bcbbc14dc2815ebb ca34cdda8f7b2ce6 c3c3f46fb5133ba4
+      da16502d042904d1 244dbd1d7a8fdf30 399024c2853dd850 3fab76b7c701a4be
+      de051a6490f2d883 6f9e95cbd6d8d640 8369cd30d5966f3f 099d8fe9a483a6f0
+      6455847de2c7ff8e 6ca798ca15ab68f7 7cdffbcde24ca833 f58c3817cbc8f88e
+      e47fae95ff6550f5 55ef28eb7641a59a f7eaa1acc5022c8e 7ddc87774f989fa2
+      d417dc7fb9054cd3 38188496a3452417 316e940df83fcc91 2bfe506781774c41
+  |}
+
+let test_churny_golden () =
+  let digests =
+    String.split_on_char ' '
+      (String.map (function '\n' -> ' ' | c -> c) golden_churny)
+    |> List.filter (( <> ) "")
+  in
+  Alcotest.(check int) "one digest per case" (List.length churny_cases)
+    (List.length digests);
+  let outcomes =
+    List.map2
+      (fun (name, run) want ->
+        let o, text = run () in
+        Alcotest.(check string)
+          (name ^ ": golden digest")
+          want
+          (String.sub (Digest.to_hex (Digest.string text)) 0 16);
+        o)
+      churny_cases digests
+    |> List.filter_map Fun.id
+  in
+  (* the branches the shared runtime moved must all be reached *)
+  let some p = List.exists p outcomes in
+  let catch_up p =
+    some (fun (o : Churn_campaign.outcome) -> List.exists p o.catch_ups)
+  in
+  Alcotest.(check bool) "a fresh join" true
+    (catch_up (fun c -> c.Churn_campaign.ckind = Churn_campaign.Fresh_join));
+  Alcotest.(check bool) "a crash-rejoin" true
+    (catch_up (fun c ->
+         c.Churn_campaign.ckind = Churn_campaign.Rejoin
+         && c.Churn_campaign.crashed_at <> None));
+  Alcotest.(check bool) "a refuted suspicion" true
+    (some (fun o ->
+         List.exists
+           (fun s -> s.Churn_campaign.srefuted_at <> None)
+           o.Churn_campaign.suspicions));
+  Alcotest.(check bool) "a session migration" true
+    (some (fun o ->
+         match o.Churn_campaign.sessions with
+         | Some r -> r.Session_tier.migrations <> []
+         | None -> false))
+
 let () =
   Alcotest.run "differential"
     [
@@ -703,4 +916,11 @@ let () =
               `Quick
               (test_churn_free_parity golden))
           golden_digests );
+      ( "churny campaigns",
+        [
+          Alcotest.test_case
+            (Printf.sprintf "%d cases, golden digests"
+               (List.length churny_cases))
+            `Quick test_churny_golden;
+        ] );
     ]
