@@ -36,19 +36,8 @@ let run_with (module P : Pp.IMPL) ~replication ~spec ~latency ?(seed = 1)
       ~sizer:(fun msg -> Dsm_obs.Wire.frame_bytes (Pp.msg_frame msg))
       ()
   in
-  if Dsm_obs.Timeseries.enabled recorder then begin
-    let horizon =
-      Array.fold_left
-        (fun acc ops ->
-          List.fold_left (fun acc { Spec.at; _ } -> Float.max acc at) acc ops)
-        0. schedule
-    in
-    if horizon >= scrape_every then
-      Engine.schedule_every engine ~every:scrape_every
-        ~until:(Dsm_sim.Sim_time.of_float horizon) (fun () ->
-          Dsm_obs.Timeseries.scrape recorder
-            ~now:(Dsm_sim.Sim_time.to_float (Engine.now engine)))
-  end;
+  Replica_host.schedule_scrapes engine recorder ~every:scrape_every
+    ~horizon:(fun () -> Replica_host.ops_horizon schedule);
   let execution = Execution.create ~n ~m () in
   let protos = Array.init n (fun me -> P.create replication ~me) in
   let record proc kind =
@@ -107,11 +96,7 @@ let run_with (module P : Pp.IMPL) ~replication ~spec ~latency ?(seed = 1)
                   record proc (Execution.Return { var; value; read_from })))
         ops)
     schedule;
-  (match Engine.run ~max_steps engine with
-  | Engine.Drained -> ()
-  | Engine.Hit_step_limit ->
-      failwith "Partial_run: did not quiesce (liveness bug?)"
-  | Engine.Hit_time_limit -> assert false);
+  Replica_host.drain engine ~max_steps "Partial_run (liveness bug?)";
   {
     execution;
     history = Execution.to_history execution;

@@ -40,82 +40,29 @@ let run (module P : Protocol.S) ~spec ~latency ~faults
       ~sizer:(fun f -> Dsm_obs.Wire.frame_bytes (measure f))
       ()
   in
-  if Dsm_obs.Timeseries.enabled recorder then begin
-    let horizon =
-      Array.fold_left
-        (fun acc ops ->
-          List.fold_left (fun acc { Spec.at; _ } -> Float.max acc at) acc ops)
-        0. schedule
-    in
-    if horizon >= scrape_every then
-      Engine.schedule_every engine ~every:scrape_every
-        ~until:(Dsm_sim.Sim_time.of_float horizon) (fun () ->
-          Dsm_obs.Timeseries.scrape recorder
-            ~now:(Dsm_sim.Sim_time.to_float (Engine.now engine)))
-  end;
+  Replica_host.schedule_scrapes engine recorder ~every:scrape_every
+    ~horizon:(fun () -> Replica_host.ops_horizon schedule);
   let channel =
     Reliable_channel.create ~engine ~network ~retransmit_after ~metrics ()
   in
   let execution = Execution.create ~n:spec.Spec.n ~m:spec.Spec.m () in
   let protos = Array.init spec.Spec.n (fun me -> P.create cfg ~me) in
+  let protocol =
+    (module P : Protocol.S with type t = P.t and type msg = P.msg)
+  in
   let record proc kind =
     Execution.record execution ~proc ~time:(Engine.now engine) kind
   in
-  let rec process proc (eff : P.msg Protocol.effects) =
-    List.iter (fun dot -> record proc (Execution.Skip { dot })) eff.skipped;
-    List.iter
-      (fun (a : Protocol.apply_record) ->
-        record proc
-          (Execution.Apply
-             {
-               dot = a.adot;
-               var = a.avar;
-               value = a.avalue;
-               delayed = a.afrom_buffer;
-             }))
-      eff.applied;
-    List.iter
-      (fun outbound ->
-        let msg =
-          match outbound with
-          | Protocol.Broadcast m -> m
-          | Protocol.Unicast { msg; _ } -> msg
-        in
-        List.iter
-          (fun (dot, var, value) ->
-            record proc (Execution.Send { dot; var; value }))
-          (P.msg_writes msg);
-        match outbound with
-        | Protocol.Broadcast m ->
-            Reliable_channel.broadcast channel ~src:proc m
-        | Protocol.Unicast { dst; msg } ->
-            Reliable_channel.send channel ~src:proc ~dst msg)
-      eff.to_send
-  and deliver dst ~src msg =
-    let writes = P.msg_writes msg in
-    List.iter
-      (fun (dot, _, _) -> record dst (Execution.Receipt { dot; src }))
-      writes;
-    let eff = P.receive protos.(dst) ~src msg in
-    (* same rule as {!Node.Make}: a carried write that neither applied
-       nor skipped was buffered — name the predecessor it waits on *)
-    (match writes with
-    | [] -> ()
-    | _ when eff.Protocol.applied = [] && eff.Protocol.skipped = [] -> (
-        match P.waiting_for protos.(dst) ~src msg with
-        | Some waiting_for ->
-            List.iter
-              (fun (dot, _, _) ->
-                record dst (Execution.Blocked { dot; waiting_for }))
-              writes
-        | None -> ())
-    | _ -> ());
-    process dst eff
+  let transmit src = function
+    | Protocol.Broadcast m -> Reliable_channel.broadcast channel ~src m
+    | Protocol.Unicast { dst; msg } ->
+        Reliable_channel.send channel ~src ~dst msg
   in
-  for dst = 0 to spec.Spec.n - 1 do
-    Reliable_channel.set_handler channel dst (fun ~src ~at:_ msg ->
-        deliver dst ~src msg)
-  done;
+  Array.iteri
+    (fun dst proto ->
+      Reliable_channel.set_handler channel dst (fun ~src ~at:_ msg ->
+          Replica_host.receive protocol ~record ~transmit dst proto ~src msg))
+    protos;
   Array.iteri
     (fun proc ops ->
       let write_seq = ref 0 in
@@ -130,19 +77,13 @@ let run (module P : Protocol.S) ~spec ~latency ~faults
                     Sim_run.write_value ~proc ~seq:!write_seq
                   in
                   let _, eff = P.write protos.(proc) ~var ~value in
-                  process proc eff
+                  Replica_host.step protocol ~record ~transmit proc eff
               | Spec.Do_read { var } ->
                   let value, read_from = P.read protos.(proc) ~var in
                   record proc (Execution.Return { var; value; read_from })))
         ops)
     schedule;
-  (match Engine.run ~max_steps engine with
-  | Engine.Drained -> ()
-  | Engine.Hit_step_limit ->
-      failwith
-        (Printf.sprintf "Reliable_run: %s did not quiesce within %d events"
-           P.name max_steps)
-  | Engine.Hit_time_limit -> assert false);
+  Replica_host.drain engine ~max_steps ("Reliable_run: " ^ P.name);
   {
     execution;
     history = Execution.to_history execution;

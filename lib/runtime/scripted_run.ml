@@ -21,64 +21,29 @@ let run (module P : Protocol.S) ~n ~m ~ops ~delay ?(control_delay = 1.0)
   let record proc kind =
     Execution.record execution ~proc ~time:(Engine.now engine) kind
   in
-  let rec process proc (eff : P.msg Protocol.effects) =
-    (* skips logically precede the applies they enable; see Node *)
-    List.iter (fun dot -> record proc (Execution.Skip { dot })) eff.skipped;
+  let protocol =
+    (module P : Protocol.S with type t = P.t and type msg = P.msg)
+  in
+  (* each carried write's transit time is the caller's; control
+     messages take [control_delay] *)
+  let rec transmit src outbound =
+    let msg, dsts =
+      match outbound with
+      | Protocol.Broadcast msg ->
+          (msg, List.filter (fun d -> d <> src) (List.init n Fun.id))
+      | Protocol.Unicast { dst; msg } -> (msg, [ dst ])
+    in
     List.iter
-      (fun (a : Protocol.apply_record) ->
-        record proc
-          (Execution.Apply
-             {
-               dot = a.adot;
-               var = a.avar;
-               value = a.avalue;
-               delayed = a.afrom_buffer;
-             }))
-      eff.applied;
-    List.iter
-      (fun outbound ->
-        let msg, dsts =
-          match outbound with
-          | Protocol.Broadcast msg ->
-              (msg, List.filter (fun d -> d <> proc) (List.init n Fun.id))
-          | Protocol.Unicast { dst; msg } -> (msg, [ dst ])
+      (fun dst ->
+        let transit =
+          match P.msg_writes msg with
+          | [] -> control_delay
+          | (dot, _, _) :: _ -> delay ~src ~dst ~dot
         in
-        let carried = P.msg_writes msg in
-        List.iter
-          (fun (dot, var, value) ->
-            record proc (Execution.Send { dot; var; value }))
-          carried;
-        List.iter
-          (fun dst ->
-            let transit =
-              match carried with
-              | [] -> control_delay
-              | (dot, _, _) :: _ -> delay ~src:proc ~dst ~dot
-            in
-            Engine.schedule_after engine transit (fun () ->
-                deliver ~dst ~src:proc msg))
-          dsts)
-      eff.to_send
-  and deliver ~dst ~src msg =
-    let writes = P.msg_writes msg in
-    List.iter
-      (fun (dot, _, _) -> record dst (Execution.Receipt { dot; src }))
-      writes;
-    let eff = P.receive protos.(dst) ~src msg in
-    (* same rule as {!Node.Make}: a carried write that neither applied
-       nor skipped was buffered — name the predecessor it waits on *)
-    (match writes with
-    | [] -> ()
-    | _ when eff.Protocol.applied = [] && eff.Protocol.skipped = [] -> (
-        match P.waiting_for protos.(dst) ~src msg with
-        | Some waiting_for ->
-            List.iter
-              (fun (dot, _, _) ->
-                record dst (Execution.Blocked { dot; waiting_for }))
-              writes
-        | None -> ())
-    | _ -> ());
-    process dst eff
+        Engine.schedule_after engine transit (fun () ->
+            Replica_host.receive protocol ~record ~transmit dst protos.(dst)
+              ~src msg))
+      dsts
   in
   List.iter
     (fun (at, action) ->
@@ -86,18 +51,12 @@ let run (module P : Protocol.S) ~n ~m ~ops ~delay ?(control_delay = 1.0)
           match action with
           | Write { proc; var; value } ->
               let _dot, eff = P.write protos.(proc) ~var ~value in
-              process proc eff
+              Replica_host.step protocol ~record ~transmit proc eff
           | Read { proc; var } ->
               let value, read_from = P.read protos.(proc) ~var in
               record proc (Execution.Return { var; value; read_from })))
     ops;
-  (match Engine.run ~max_steps engine with
-  | Engine.Drained -> ()
-  | Engine.Hit_step_limit ->
-      failwith
-        (Printf.sprintf "Scripted_run: %s did not quiesce within %d events"
-           P.name max_steps)
-  | Engine.Hit_time_limit -> assert false);
+  Replica_host.drain engine ~max_steps ("Scripted_run: " ^ P.name);
   {
     execution;
     history = Execution.to_history execution;
