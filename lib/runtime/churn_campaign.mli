@@ -100,21 +100,17 @@ type replica_state = {
       (** per variable: value and writer identity *)
 }
 
-type suspicion = {
-  speer : int;  (** who was suspected *)
-  sobserver : int;  (** whose detector crossed the threshold *)
+type suspicion = Failure_detector.suspicion = {
+  speer : int;
+  sobserver : int;
   sphi : float;
   sat : float;
-  strue : bool;  (** the peer really was down at [sat] *)
+  strue : bool;
   slatency : float option;
-      (** crash-to-suspicion detection latency, when [strue] *)
   mutable srefuted_at : float option;
-      (** set when a heartbeat sent after [sat] re-admitted the peer
-          through the rejoin path *)
 }
-(** One accrual-detector verdict (emergent mode only). A refuted
-    suspicion is the survivable false-positive path: the slot rejoins
-    under a fresh incarnation exactly as a crash-rejoin would. *)
+(** One accrual-detector verdict (emergent mode only), as
+    {!Failure_detector.suspicion}. *)
 
 type outcome = {
   execution : Execution.t;
@@ -238,13 +234,11 @@ val run :
     [settle = true], [retransmit_after = 50.], [seed = 1].
 
     [?metrics] (default: the null registry) is threaded to the network
-    and reliable channel and additionally receives the campaign's own
-    series: [campaign_checkpoints], [campaign_checkpoint_bytes],
-    [campaign_rollback_depth] (applies undone per restore),
-    [campaign_replayed_writes], [campaign_sync_requests],
-    [campaign_sync_replies], the [membership_*] view series and the
-    [fd_*] detector series. Probes are pure observation: the campaign
-    is byte-identical with and without them. [?wire]/[?recorder]/
+    and reliable channel and additionally receives the [membership_*]
+    view series and those of {!Replica_host.create} ([campaign_*]),
+    {!Failure_detector.plane} ([fd_*]) and {!Session_tier.start}
+    ([session_*]). Probes are pure observation: the campaign is
+    byte-identical with and without them. [?wire]/[?recorder]/
     [?scrape_every] as in {!Sim_run.run}: the accountant prices channel
     frames over the campaign envelope, so anti-entropy traffic shows up
     under a "sync" cause and state transfers under "transfer"; the
@@ -253,34 +247,23 @@ val run :
 
     [?detector] switches the campaign to {e emergent} mode: no
     [Join]/[Leave] event may appear in the plan (crashes and partitions
-    are the only scripted inputs) and {e every} view change is produced
-    by the failure-detection pipeline instead — active slots gossip
-    [Heartbeat] frames every [heartbeat_every] (suppressed towards
-    peers that recently received other traffic; every delivered frame
-    counts as liveness evidence), each slot runs a {!Failure_detector},
-    and the first observer whose [phi] crosses the threshold marks the
-    peer [Down]. A heartbeat originated after the suspicion refutes it
-    and re-admits the slot through the crash-rejoin path (incarnation
-    bump, sponsor delta transfer, group sync) — false positives are
-    survivable by construction.
+    are the only scripted inputs) and every view change comes from the
+    {!Failure_detector} plane: a suspicion marks the peer [Down], and a
+    refuting heartbeat re-admits it through the crash-rejoin path
+    (incarnation bump, sponsor delta transfer, group sync).
 
-    [?sessions] drives a {!Session_tier} of lightweight client sessions
-    on top of the replica set: each session routes reads and writes to
-    a home replica chosen by its placement policy, carries its session
-    vector on every request (handoff-on-migration), retries rejected
-    operations with capped backoff, and resolves lost write replies by
-    at-most-once probing. The re-attributed session-guarantee audit
-    lands in {!outcome.sessions}; replica-side checking ([report],
-    Theorem 4 accounting) is unchanged — session operations are
-    ordinary protocol writes/reads at their serving replica.
+    [?sessions] runs a {!Session_tier} of client sessions over the
+    replica set ({!Session_tier.start}); its re-attributed audit lands
+    in {!outcome.sessions}. Session operations are ordinary protocol
+    writes and reads at their serving replica, so [report] and the
+    Theorem 4 accounting are unchanged.
 
     [?mixed] (default [false]) lifts the emergent-mode restriction and
     lets a detector run {e alongside} scripted [Join]/[Leave] events —
     the adversarial composition the {!Nemesis} driver exercises. A
     scripted join re-arms the joiner's detector clocks on both sides
-    (otherwise its t=0-seeded silence would be suspected on the next
-    accrual tick) and a scripted leave that loses a race with a
-    suspicion is skipped with a recorded view reason.
+    ({!Failure_detector.readmit}), and a scripted leave that loses a
+    race with a suspicion is skipped with a recorded view reason.
     @raise Invalid_argument if [initial < 2] or [initial > spec.n], or
     the plan is invalid for that universe, or [?detector] is combined
     with a plan containing [Join]/[Leave] events without [~mixed:true]. *)

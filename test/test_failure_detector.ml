@@ -215,6 +215,34 @@ let test_detector_determinism () =
   in
   Alcotest.(check string) "same seed, same phi trace" (run ()) (run ())
 
+(* One bound for every config and arrival history: a silence of
+   [worst_case_silence] after an armed peer's last arrival drives phi
+   to the peer's effective threshold. Gaps range up to ten heartbeat
+   periods, so both ends of the interval clamp are exercised. *)
+let prop_worst_case_silence =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"worst-case silence always crosses"
+       ~count:2000
+       ~print:QCheck2.Print.(tup5 float float int float (list float))
+       QCheck2.Gen.(
+         tup5 (float_range 0.1 10.) (float_range 0.1 100.) (int_range 2 32)
+           (float_range 0. 4.)
+           (list_size (int_range 0 64) (float_range 0. 10.)))
+       (fun (threshold, heartbeat_every, window, adaptive, gaps) ->
+         let cfg = Fd.config ~threshold ~heartbeat_every ~window ~adaptive () in
+         let d = Fd.create cfg ~universe:2 ~me:0 in
+         Fd.observe d ~peer:1 ~at:0.;
+         let last =
+           List.fold_left
+             (fun at gap ->
+               let at = at +. (gap *. heartbeat_every) in
+               Fd.observe d ~peer:1 ~at;
+               at)
+             0. gaps
+         in
+         Fd.phi d ~peer:1 ~at:(last +. Fd.worst_case_silence cfg)
+         >= Fd.effective_threshold d ~peer:1))
+
 (* ---------------------------------------------------------------- *)
 (* emergent campaigns                                                *)
 (* ---------------------------------------------------------------- *)
@@ -562,6 +590,7 @@ let () =
             test_detector_determinism;
           Alcotest.test_case "adaptive thresholds on heterogeneous links"
             `Quick test_adaptive_heterogeneous_links;
+          prop_worst_case_silence;
         ] );
       ( "emergent membership",
         [
