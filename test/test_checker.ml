@@ -313,23 +313,26 @@ let cases =
       reaches = [ ("necessary delays", necessary) ];
       golden = "f2c221959ba645f5609ea71abfb2a439";
     };
+    (* the three campaign reports were re-recorded when the survivors
+       of a permanent crash joined the final fixpoint: the runs moved,
+       not the audit *)
     {
       name = "Churn_campaign OptP";
       reports = churn_reports (Protocol.Packed (module Dsm_core.Opt_p));
       reaches = [ ("necessary delays", necessary) ];
-      golden = "15a1264b648faf6e65480f47f2ef9e8a";
+      golden = "c8fdd743ea33a0eb092854f17208d868";
     };
     {
       name = "Churn_campaign ANBKH";
       reports = churn_reports (Protocol.Packed (module Dsm_core.Anbkh));
       reaches = [ ("unnecessary delays", unnecessary) ];
-      golden = "3735c18d27432efa4893bb837997be3c";
+      golden = "36dea585eb0e20e23fbeae06e86cb44e";
     };
     {
       name = "Churn_campaign Canary";
       reports = churn_reports (Protocol.Packed (module Dsm_core.Canary));
       reaches = [ ("safety violations", safety) ];
-      golden = "e6111140667705c40fcf26c652a3c40a";
+      golden = "165ed5a36d1ea824b20d20c5bb7d242e";
     };
     {
       name = "Soak windows OptP";
