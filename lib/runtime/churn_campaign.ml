@@ -320,7 +320,7 @@ let run (type pt pm)
       push_reason "p%d joined (plan)" (p + 1);
       node.proto <-
         Some (P.create (Protocol.config ~n:host.width ~m) ~me:p);
-      node.log <- Hashtbl.create 256;
+      Replica_host.reset_log node;
       incr joins;
       Metrics.incr probe_joins;
       let c = Replica_host.start_catch_up host node Fresh_join in

@@ -193,13 +193,34 @@ type catch_up = {
   mutable converged_at : float option;
 }
 
+(* The last commit. The log is a base image of the whole table followed
+   by one segment per later commit that logged something: the bindings
+   [log_outbound] made since the commit before, in order. Replaying the
+   segments over the base with [Hashtbl.replace] repeats the live
+   table's own updates, so the restored table has the same bindings in
+   the same bucket order. A reset or a reclamation sets [rebase]: the
+   next commit encodes the whole table again, and until then a restore
+   still rebuilds the log as it was committed. *)
+type 'm durable = {
+  mutable image : (Protocol.config * string) option;
+      (* config at commit, protocol snapshot *)
+  mutable base : string;
+  mutable segments : string list;  (* newest first *)
+  mutable pending : (Dot.t * 'm) list;
+      (* bound since the last commit, newest first; empty while [rebase] *)
+  mutable rebase : bool;
+}
+
+let no_durable () =
+  { image = None; base = ""; segments = []; pending = []; rebase = true }
+
 type ('p, 'm) slot = {
   id : int;
   mutable proto : 'p option;
   mutable down : bool;
   mutable ever_crashed : bool;
   mutable leaving : bool;
-  mutable durable : (Protocol.config * string * string) option;
+  durable : 'm durable;
   mutable log : (Dot.t, 'm) Hashtbl.t;
   mutable staged : (Sim_time.t * Execution.kind) list;
   mutable staged_count : int;
@@ -284,10 +305,18 @@ let send h ~src ~dst env =
     Reliable_channel.send h.channel ~src ~dst env
   end
 
+(* a rebinding to the physically same message changes nothing the
+   next commit must append *)
 let log_outbound (type p m) (h : (p, m) t) slot msg =
   let module P = (val h.protocol) in
+  let d = slot.durable in
   List.iter
-    (fun (dot, _, _) -> Hashtbl.replace slot.log dot msg)
+    (fun (dot, _, _) ->
+      match Hashtbl.find_opt slot.log dot with
+      | Some logged when logged == msg -> ()
+      | _ ->
+          Hashtbl.replace slot.log dot msg;
+          if not d.rebase then d.pending <- (dot, msg) :: d.pending)
     (P.msg_writes msg)
 
 let transmit h src outbound =
@@ -316,10 +345,26 @@ let commit (type p m) (h : (p, m) t) slot =
     (List.rev slot.staged);
   slot.staged <- [];
   slot.staged_count <- 0;
+  let d = slot.durable in
   let image = P.snapshot (proto slot) in
-  let log_image = Protocol.Snapshot.encode slot.log in
-  slot.durable <- Some (Protocol.config ~n:h.width ~m:h.m, image, log_image);
-  let bytes = String.length image + String.length log_image in
+  d.image <- Some (Protocol.config ~n:h.width ~m:h.m, image);
+  let log_bytes =
+    if d.rebase then begin
+      d.base <- Protocol.Snapshot.encode slot.log;
+      d.segments <- [];
+      d.rebase <- false;
+      String.length d.base
+    end
+    else
+      match d.pending with
+      | [] -> 0
+      | bindings ->
+          let segment = Protocol.Snapshot.encode (List.rev bindings) in
+          d.segments <- segment :: d.segments;
+          String.length segment
+  in
+  d.pending <- [];
+  let bytes = String.length image + log_bytes in
   h.commits <- h.commits + 1;
   Metrics.incr h.internal.probes.checkpoints;
   Metrics.add h.internal.probes.checkpoint_bytes bytes;
@@ -328,19 +373,51 @@ let commit (type p m) (h : (p, m) t) slot =
 let restore (type p m) (h : (p, m) t) slot =
   let module P = (val h.protocol) in
   let before = V.sum (applied h slot) in
-  (match slot.durable with
-  | Some (cfg0, image, log_image) ->
+  let d = slot.durable in
+  (match d.image with
+  | Some (cfg0, image) ->
       let t = P.restore cfg0 ~me:slot.id image in
       P.grow t ~n:h.width;
       slot.proto <- Some t;
-      slot.log <- Protocol.Snapshot.decode log_image
+      let log = Protocol.Snapshot.decode d.base in
+      List.iter
+        (fun segment ->
+          List.iter
+            (fun (dot, msg) -> Hashtbl.replace log dot msg)
+            (Protocol.Snapshot.decode segment))
+        (List.rev d.segments);
+      slot.log <- log
   | None ->
       slot.proto <-
         Some (P.create (Protocol.config ~n:h.width ~m:h.m) ~me:slot.id);
       slot.log <- Hashtbl.create 256);
+  d.pending <- [];
   let rolled = before - V.sum (applied h slot) in
   Metrics.observe h.internal.probes.rollback_depth (float_of_int rolled);
   rolled
+
+let reset_log slot =
+  let d = slot.durable in
+  d.image <- None;
+  d.base <- "";
+  d.segments <- [];
+  d.pending <- [];
+  d.rebase <- true;
+  slot.log <- Hashtbl.create 256
+
+let reclaim_log slot ~below =
+  let dead =
+    Hashtbl.fold
+      (fun dot _ acc ->
+        if Dot.seq dot <= below.(Dot.replica dot) then dot :: acc else acc)
+      slot.log []
+  in
+  if dead <> [] then begin
+    List.iter (Hashtbl.remove slot.log) dead;
+    slot.durable.pending <- [];
+    slot.durable.rebase <- true
+  end;
+  List.length dead
 
 let crash h slot =
   slot.down <- true;
@@ -633,7 +710,7 @@ let create (type p m) (protocol : (p, m) protocol) ~engine ~network ~channel
           down = false;
           ever_crashed = false;
           leaving = false;
-          durable = None;
+          durable = no_durable ();
           log = Hashtbl.create 256;
           staged = [];
           staged_count = 0;

@@ -252,8 +252,7 @@ let run (type pt pm) ?(on_audit = fun _ _ -> ())
          protocol image, durable checkpoint and log die with it — the
          group's logs carry its writes, and the ledger its final *)
       slot.proto <- None;
-      slot.durable <- None;
-      slot.log <- Hashtbl.create 16;
+      Replica_host.reset_log slot;
       slot.leaving <- false;
       incr leaves
     in
@@ -279,7 +278,7 @@ let run (type pt pm) ?(on_audit = fun _ _ -> ())
     slot.proto <- Some t;
     slot.down <- false;
     slot.leaving <- false;
-    slot.log <- Hashtbl.create 64;
+    Replica_host.reset_log slot;
     slot.write_seq <- V.get0 (P.applied_vector t) p;
     incr adoptions;
     Replica_host.commit host slot;
@@ -523,19 +522,11 @@ let run (type pt pm) ?(on_audit = fun _ _ -> ())
     let log_entries = ref 0 and log_peak = ref 0 in
     Array.iter
       (fun (slot : (pt, pm) Replica_host.slot) ->
-        let log = slot.log in
         if slot.proto <> None then begin
-          log_peak := !log_peak + Hashtbl.length log;
-          let dead =
-            Hashtbl.fold
-              (fun dot _ acc ->
-                if Dot.seq dot <= common.(Dot.replica dot) then dot :: acc
-                else acc)
-              log []
-          in
-          List.iter (Hashtbl.remove log) dead;
-          log_reclaimed := !log_reclaimed + List.length dead;
-          log_entries := !log_entries + Hashtbl.length log
+          log_peak := !log_peak + Hashtbl.length slot.log;
+          log_reclaimed :=
+            !log_reclaimed + Replica_host.reclaim_log slot ~below:common;
+          log_entries := !log_entries + Hashtbl.length slot.log
         end)
       slots;
     dedup_reclaimed := !dedup_reclaimed + Reliable_channel.gc_dedup channel;
