@@ -507,102 +507,102 @@ let golden_digests =
   [
     ( "OptP",
       {|
-      266f52bb963e8ddd 6cf25762bd424219 31648d13a02aaaf8 97f18d83aa364ad0
-      36764978e25c17ee e67c88748f7900fa 8c9f4c6715ef648b 60af3b75d019838c
-      3a3fe636b6a5d365 9782a1f931c6ac59 78073839a73fece2 fefe64f6cd4df190
-      6627a491d6475ac7 aea983801831e318 92aabc37279c9162 3d33cf10a0c42e9f
-      a64f11c91450e988 79322a4700634842 eb7259d8846d0deb 417a9026d83fff3a
-      778815a4d60dba10 8b1ad2068a6fc228 cda3127ce3b7dabd 17e5d632dbadbe4d
-      501280c6352275b2 717297bb552302bd c1e5c54c3f163c81 b4143566b2e8f215
-      dfa4842653fa2def f5ca697a117b7fbf ffcf00801a4340a5 1b21605766191e02
-      77d6e63a9fbc7085 21776f5ac23ef0ff f6d5103f8d20b786 04ffe1f3980ddc65
-      01c39ef036de68d8 9c5579dad91a8306 bc82f89246012b0e 2efd9f72fe4fc853
-      657147bccc7aecf1 cb59ccc6cdf8b2f0 db3080989a4ab68d 797d721bd056da19
-      1a017735cce5e91f 041f8ee577623a2a c1f8744c83da745c bd562a33b4eb3f2e
-      21e7e77559a505ea 64a16f28fe9cfeb7 7ac7a9e62495a179 72f493e80c3d37de
-      925fe0277b71782a 69706410e1366524 207379203b8ea2bb 0f259a4f3ea6a78b
-      b0fb05a70f4dfa17 dbfb62911f73d09c dc618eb3a8f7809f c3fdba89ea813148
-      ff780d7453d89d66 a1cf98e4dea9c9e4 724a4fd64ddf9e00 c0e5b389d0459e69
-      e81d2b8390bcd3f1 083838c69676ac40 2e6bbc24aa6ee444 63e645ece2fb97e8
-      9427b8624d9ab9ef ff0e27c24937acf3 24395edf2491b42b 505eed1fb15c28d8
-      4e984591f653857b ad58efbf8c5b00f7 312a216b460b7da4 e3372bfc24b39195
-      720a6ff47f6f950b 17abd54b6cffa8f2 5ffe7607d1eacd2b 56e4c61efa2b8664
-      1c8d49c03736f86a 5b5e7dd18a888d2c 3a2db1121a6af5d0 59c6d5e77cb2a3b4
-      eb125edb59b08044 ca41649545790496 698b85758c7a19fd 56b88eb1b05f2d85
-      22872be62c9c5b8c 95b6fc8540926b13 b0c0f232858f9481 21689c1557d783f2
-      c94295d47fbd9306 d0867c8d3dff4c44 17f364a9d0af9147 3681733d056bcdb3
-      265000a824cd96e0 ffa8ea221b184d5a 4c04aa0d1d2e0140 ca3715b1ffe6cf63
-      9e9400b97e6f81f9 0c4bb77c96baede8 03440640a9fd3b33 26ee51362b95d76c
-      9b5f3ca0b684111c 138a404b4d0680a5 280a27c8a182da07 28a8687c105efca6
-      fbb2b6b95a6e4cce 03454327e808b957 dde38002fb234f01 ebd25cc96703796c
-      c1ef293bbfd431fa c93d112d90097755 7364e43fef66b6ab 4298f12a7d73ba8c
-      5c030e0d84a0a177 35fa27feb304e4a6 3c13796b79d00ec2 5f873195ed9d7e7c
+      2b2ce30a351d6583 7434703beb8f1adb 378f87e3b6b574e8 2d97da53809b92bd
+      1356b2b937a29031 24f1cf2db01715b1 3513f8e48723aa4f 967d4ce41272a008
+      9c401ba9affd2860 5c0d22636d5943ab e4fdeb1b18ee3e03 180ec57d0a5323ee
+      15bd9b45698d74e7 05872b9e636c035a bb74b8f719a7d4e8 1288d94d4705cfcb
+      356877a94f7e6175 15c994d1037d7ae0 7e2d9e0456890033 13a32e9bfb680e23
+      8e9afd8503bb76c9 636974a88002af2c 81d26e50122a6929 c8a2ca904cbcbee2
+      e1d7bf35c7d38420 5c690ca2696164f0 539c9e06c8aa6223 a9dd1ba977a33e58
+      f49d584cc5e44296 6b3e6b504a1c6eaa 7a3fcb3f0b60eb7b 0b43afd8d3aabe78
+      6bfad6113e8157ae 4d01a25bdc6d10eb 76c040b131c9b008 0a5f8dc6dfc2a3d4
+      ed6099fc0ebc0e51 16476b2d095a2a2b af706cfca2ce9e32 82f75f38f3d41690
+      6e1851196a3e6ce7 3a50d2ead8e0bd53 2512cf2ca6a13d2d f9b213774c9f10b8
+      ad26c091a6d9878d 8a30811a01ba56f0 ab2f5fb614c96775 ec4f3d42cfc89def
+      aec46b5f5e99879c 96a0ba8797e7ffc0 29bc6ddf17d4aedd 7f8f06df55c6bfa8
+      dd084474143947d6 a1a57861281e8b24 23554375c49a89a6 aac5d223464cfd27
+      3ffed5da7927003b a95b6f6de7670669 71f9a06d29924692 95a77f97f7697dcb
+      647e0554841211ca c972a4bf33483a49 8cae73bb419fff96 65e7f9d5c8a3f36a
+      5c478e4bdb628e24 19eccc5a18f9c058 85f40a9d4426e929 77164de6e33052d6
+      ecf84223fc1433ec f23f093bc15c34b8 286dd3dd32cbdac5 0239380e6d71ca6f
+      43ebc4cf6fc73839 221cb03dd0675d91 272dc82ab4b496fc ccdc4bebc064c952
+      1b6cf230b1ca785b d10546bd0057f2b6 b33aea0a3961c3c1 026b944e4ea798b9
+      a90a2c2fa8a96c5c 0d572867d3913c43 527fedb7e009e584 1b911f320ebf3f28
+      7467b158d0538df4 ca9ebba23d1c9f08 f2ea61cc5855db3e d745e7c093fa5514
+      e576a6b588493a3d f2897de37324dd01 c36172999c67d886 6e4e648e195295d1
+      2e1f92f1569f5dea bbc524e9046fee9e 17f42fc8b09cd103 96b1d5bfaf06b1e3
+      2b61a8b27dc37501 41c7d8e14a9993ca f2542a0e672c7866 8f5d85bbcf28fb1e
+      15745be7e11c137d 5ed3e5122722d8e7 84fcfc368dc23a90 d7dffcbca342791d
+      84b3a3bb3f6c3a9f c8065611053221a8 fe3de606ccb8980c c5c3b3cd44d82ca7
+      8cf190fda4e1801a b149cc9d5bf5d444 90030ca5062f00fc ad4714fab5f5093b
+      d1dc31467c66891c 0c3618a33b446fb3 734c54c171c0dbfc cc6dcf7003771de0
+      48a34a4030beaf67 a1d4e24dbb729c15 db1fb0ba6eea9e29 994c986b033004e6
       |} );
     ( "ANBKH",
       {|
-      edeca33555df1860 232dd666c1bad635 842772a7aa3e1991 655730838e986f24
-      2bf263b4a763c4f9 f1d4468793fb2e2c f78dbd23198491ff 10201ba2aba384b4
-      269829744a70fa97 1cc1f7db5b5560fd 3ffdf67de79d2d3b 945f24068ff26b94
-      758cd3891d4ef21f 25b785b02fccfc64 ac251c95be80554b 74be5663d3f99240
-      f52bfc6a65538127 46dcb8d738726b0a bd0d2f09651d0f8d f409f6e26cd81e08
-      c14812c9381fa22b e8d188129a58b472 fdee523ef907e58a 9c490ee93fece9f8
-      aa150552e34531aa 766fd314e4f374b7 49fa4649859c109e de8ca97e04d0d216
-      4d1ea7a976eda18a d5ea716f0f1283d4 aa98839effd6dd10 de6e4b3f38cdddc4
-      6569c73fd3de6ee2 28799f4d2d5b5d95 fbaed725775b27a9 27d63173d7645729
-      a2ef52c1d72f049c dfe7435ff9804b6a 2fab084c2c6cf975 4b7d3b1b1602a351
-      da2115267a33a93e 21a109bec5e60800 98c42b5f8279a4c2 fcbbf98ec73048f0
-      821bc78667a9847a e6afd3d537b30896 6d9761f81567507f 60b6cf6b07e90c6d
-      2d8712017f1dfd45 a56f8106da69d748 88edc158628db664 e70622ae3903e62b
-      99fffd7aac103965 37ebe5214a31da79 261123d01661236d 0468890ea26f46aa
-      947dd966852eeb33 15ed609bb4134d8c 378b8708c5ee3cce c5fdc97715652b0d
-      05e5dd73f93422bf 47d502ccd987c681 158393cb2baf3fce a486acdee7fa01b2
-      24cd306d6a8617f1 47db027bb4740775 b9d750a52da87d1c 842c3f6845449aa5
-      d40fd1a2e9ad0c5a 0c2a2fdfb7a6deb8 1ae2b8b090fe56ec 72a7e328db53d7a3
-      1b0dfb95d804b818 c6f8264d816bc9e2 86e18a334a2f9881 bdb5935d2ef735b7
-      df6f7dc871207425 16adccb2e20e7704 71f494f19daf5fd9 b006cfced7b32066
-      6ded0f2e33fdb2aa 032db7f0578aef32 f2fc337884c8616c c03a5a2c406f46fe
-      45db2b5aa55aed63 4ad64626886d9a7a d96181085a5b577c 659480b66b27f135
-      9367bb6e546d33e5 5a5bd7148f512287 deaee4a9a13aeb5c 630e8d7689065b7f
-      d43553a8c50b4edb d5cf02eb3900649e 04054a37c2bd7226 4e3bd0dd61f838ce
-      0eecb08ff1790e74 128f01bd8ffd6ee4 438937e98468ed74 3079edcec980928f
-      b5f010a26c19a45c 5ab1065e4fbf85a5 24903be372d1925c a2d915aeae9d38b1
-      c8c95a9e71c496cc ce5a1a86c52de05d fc19bbf16dbb0e6d 1a1f9f8763b7c1fe
-      45b7fbf18e3fab45 2797d07c5d880ead cdf5991e9d78fb25 232d9e4e12b19ff7
-      a5c6fe6ed8e6143d c98de625b8958a58 f8632e707912ec38 be8fcddfa12cedef
-      325ee9d26cc83f7c 79909a4d277b338d 107c8d83f15728b8 e382a69d688b4e3a
+      956b85903ccab3b7 b61c58a83f7e7b5e cbf4b17476616ef9 c2390e1d6a5ebb69
+      7cb8266b901837d7 a7c80eca926b8d7d 5234b9eedab0e597 48ffec4e4e7b5d01
+      321bc55e82d1a548 730b7579c26154c5 a3b2d626cade316d 30d61348c5b13ece
+      d62703a9713e7785 7b3b3e69982dcee1 96d7d1fc6d1ad328 cfe13d75d66f8852
+      374fb7f49483cf36 a2d3d63fd47a86cb 63a273298ba52775 b72acc5b4a62dcb4
+      089495d8dc64e0ca 6eb6a45ea40522f5 f53f3fca89095e52 ee481ee77c4944b2
+      cc8b20f06d617504 d7ce6364dedf0c37 5dfc571660c639ee fdb0fcec2f6b858b
+      492f3eb68c23d8ba 8319101dd34e816e c62e463e5fd27468 9da19e38e59419aa
+      c99f99abf1ce1c9f 97979ce7e8ec0e8b 9a9f6e6b808c6623 1d3ebf163eb9804c
+      5b6ddd70ced0ac91 c1b0945149c87c10 dffa3e15e3dbe60d 27c8eece609cf2ee
+      6e478d6268900b83 449a62f933044e44 5223338b2ea5b1cb 19f3bfed0bbc0921
+      9da6d1bddb0610fb 3e20251cd6b607ad 94a6d1af23602bba 8aa5e49df302c1ac
+      d6dfc8d5b767e265 913eec3d1803ae37 beda0dc82bddeef9 00f527c5bc5ee795
+      2d1e78c5f52e808a 8ad417884eddecd2 7dfed9cb5f0226a3 55a24d75858d36d7
+      7ca9e4129fe015d7 4acf93b3e5e85595 13088db7c4c29a3c 65f3830f7f64dfe9
+      6f032a1583cad343 1bef68b626722af6 7d591827dd647c7e d70c129df891e401
+      2b55fd13bc4ca08a 223b99c065ae5f06 23775ac6c54178db d95014da8b484e24
+      fd77e1b5c6d3093b 100107742403a859 28f1cff0e63cd162 a0e59d2fd3e001f2
+      d23a0bdf3d7a7149 9b3b2c89bf032ec5 d056063f1836937a 6ea555dea50d0f67
+      08482b3fb051098f 0316bea0e499b2bd 0b12bcfc3d3bd472 9009dc3a000fcf34
+      625d2d9e057cda9d 3bab24cd753df541 6654cde6694e256c 72f1f8233bb905dd
+      4b418aa39053022f e7316f5e52a947bc 1dabdfdbc0077a32 b5ae41ba9ec9c16d
+      b3d01b6b83f3408a 18b4124b1358accc edcbfa79ad9245a9 9d25ecf3d580270d
+      c3ce9bae54bbb141 a4bbc8ca0c26ce1f 3024ea08ff4caffe 8c3593400c612491
+      2ad753b722839e24 e29b65a90243974f 179480ac0be819ff 7b72ebeb12cf1ec2
+      c83e24538af23a48 a95ebcb612688f2e 05e15ef2856cd75b f8124828051c2e1a
+      08af8c3423b7eaf8 03962954b4d2a56e a6b1164812c7a8c8 8dd4312a850554f2
+      f9781d2f1f200a51 adcd2b200ccefd6b 5ee818a391f8fdcc 988508292623da6f
+      d4dbcfe0263d004b 09dd05baaa149b24 498e1cbb733f9c1a ba1abcd15f15712a
+      3925c9e2eea95f9f 5f07b8eca143cbdd 79b7387bd4298dc4 7f5b1cdab22a39b9
       |} );
     ( "OptP-direct",
       {|
-      27006e5c7d9f1f58 0e6792e779514a6b 97c9aa841c399f91 0eaeed284e3d946f
-      3519d7fed3a04fb5 14e964716a9ad5c7 a2b131f0ae26d40f 383b28017b7de282
-      28a0977688517040 35271dbb9970eef0 1f2998e3474b3253 93db6785f3796f14
-      f5b6454de3f74b54 99d1db6cb79c30c1 13d43b8a4e43183f 9a7b0d40ac35e572
-      85f8027424ba8dc9 fe14dd084883146d b64a9927c3c3c43d 71674366e4c8dd0e
-      e6f3f2797c5f24e2 9b53d71ea9ff7483 d436d0c881f7958d 99f7943c32f3a1dd
-      3534a4ccad243b59 776527c7f9fb2e26 2830329981b7945a 75672e055d14bd4b
-      979f1b0d4704a335 2346949c26e68d12 c0394aa7276fb00f bb2c6a58900d6107
-      bfaa6ae50060de60 58964bc48e8fc3de ff43386f039dff62 34951390d0ae5ccd
-      9b917f1a1b0af761 e3c0c0a05ab30699 1467d08c2ccb4fff 600875fcfa5b17b4
-      dbefb771bf5896e1 960eb3f99774963a e432829ae13f9bd6 7b3a7789fbcb24e9
-      ef96e9ed75dea8ff 5cb150679aefaa93 10305d61eddb02e3 e7a5fa7f5b5b6bea
-      a5f672e10b8a7e01 aa1b1a27e470a638 2b7af0fb91cffd4e 0e7ade0dc66787eb
-      dc1152ce8f0bf28e 8efc3bc9a5abd842 bfb7bc88ad3d8071 41675c6beaccecad
-      884b288e8dfef511 31294878cf8511aa d32a40cb5c3dc794 6cb902302049c203
-      bf4bf2dfe6cc3e84 6cdd09e050be1c73 85614d0cb337abab 8fc18fd97d04fd2a
-      de5fc98da8f020cc bb01477fa438d9e2 e752d390e9363cde e26d546bd121578d
-      7bb7ae5a61c4ccda 04e17fad6910067c accfcf60fc56be24 296e70eaac4170c2
-      61681dbd36da9a7e dd47ed8ba53b4f56 78272f0ff0343c81 0c42cea643102045
-      3e45154c8f8977ca 343302e5902478e4 114663f5771dfed3 12bbdc81acb8db87
-      31e59f231a67dc9c 8ca2e7b1a13e395a 91f0cdce99b7be85 fbbb0354e7712c61
-      bc9d2bbff448c315 d560784215d3262a 199988bbfdf05b05 669d967e70a4fa55
-      f96e45fa1bf07204 f22aedd163a77b6e 7286553eb8968b44 926941cbbf4a2f19
-      deec0f749a4644d3 cf0066bda800578a 88cbff3949acf461 1d30e04e422d2110
-      6c8cf12db78c9ce5 5d16668425864d96 f37a6fc1afc0340d da5a8759beb4e9d6
-      2ee1b77e61c7a240 3167c75a7e3119c6 2b3730e06aab3b50 24f109e90ae2888f
-      dd4d1680de0cb679 d48bd5d7f49d39a2 be16f97542816291 9634e943091d6b8d
-      025f48afb69abbf7 d3cd6371878e2b94 30bf1feea40ef6b9 eef412c09d8898c2
-      e2c484e27357e413 2feb6906ba17de94 974c213235c9b2d6 c3d4872cb0e14dfe
-      93ecfe94a99d2342 97ab7e87e8d6312c fe113daea5ee44b9 bbf60984c9a838df
+      db88891311cf8a43 bcde0e8d9f0b83b2 51c931e35d9d90f3 4e7182286de0610a
+      2781ab4554bcbbe6 ba1cedfbe43ee3a7 443f0f7264e8f7f7 f64fc2813f9d61fa
+      1a78323748c2fe95 2d7a36907329fb65 26f5a8de3eff6b73 fb20a3c70ff59f30
+      1118421612554054 197e27e26ad80659 0637c307b403f6e4 71cea2dff5891148
+      640a014e1706b236 29e1cadca6fafb65 ed9c7e532fba5aa1 b549d57e8bcfc06b
+      e83dbc7dd4e315dd 3c9681d288bf5305 6030180e1a5506e9 253cabd5ae212cd9
+      de8a3aed5eceb6c0 74ffa77e54a183cc 05e104be7c01cd6e 614f67b6750849a8
+      f3ffba91220a8404 c1d62522b0613538 f1438fceebcc67f1 a76954a040a91f1d
+      dce2cad18b5b149e efa7e8c9a506973a ac8294ce2f1d5df8 76c7a95f2f31c246
+      4c5792d7aed88360 176c9c81e7309d35 e41af17e0df8d366 65e7a5841bfe047a
+      a5ed6bba87645118 499a0f737749e10e 773b854e89f8533f 0f3617fa0a8cb9f2
+      ff62b68a8a9a684d 49034f26f953e9f3 ad051df8845a6ba0 0d9b5629ceb83b67
+      a3d93e688a2b785f 23cecff76fd196e1 05a9add766020703 79bc3a09ebf10939
+      5da8534daec048d1 b31f5202773ec74e 017939da1f112f8d 53f35bfadf919c82
+      0761991cac18d622 8f1a6af5e5bad51d a99251a44b580f7b b1d47f60f52a46cc
+      d85b67a498cbc657 dc64f0e27eb82b47 e7105aa8177e9386 cc5135a8fd5ad0da
+      9ea1cde0aaef9a6f f1ca2dbb403b4787 4e27425f90f21d89 6cb51e2b4f89721a
+      41239aaa1e270525 bb7143660cf73e84 10255861449829c8 c925a0a978151017
+      ee125abc44b473a2 3e05d361c842ff13 6bdce23f861e4c9f eb16d713a425618f
+      0f9bb9373344ab26 a19b7a7c4fdd5b06 52f184ecaa182517 58b62d78b997ab1f
+      6473348b5ad346ac f3377ab3f50e63f0 6a056617122bc867 a76acaa2b3500fb0
+      08ea008574e03b2e 3dd1b83337bcddc7 7931f1fbc72d5978 1ccffdd0d3e2c6f5
+      9681e494d62c11fd 00b3753504e54867 12f04e12dff87dc8 20a870951d9c6851
+      35a54d500544dc3f ea7d17d5767b9713 ee28d4ba6a476ccd c6478d994f1d94ff
+      7d5a0c6d781c4bc2 a91a97197d583832 2fc48e3bb4569768 b615c20bf1205d39
+      8ec171ba17fc04e6 dd5f321bd7919426 80ecdfcbfeaf39e0 da66c10632ac8f4f
+      d06aa0cac60246f3 71b707adddae9ac0 d3a0a116d7cff708 fd68f3a39df6b531
+      900ba3251895544f 6d418c3d9c185d72 a035f13700d1e158 2016f1ad3c53889e
+      c190fdba1dd8b967 5e09ac8bfde5fe39 9b34c0a7d9af5e8b c580126016089de2
+      171b971360c90b93 c2fa4c3c77706b59 68036f0794370319 bebb216858c052de
       |} );
   ]
 
@@ -779,46 +779,46 @@ let churny_cases =
    [churny_cases] order *)
 let golden_churny =
   {|
-      6a6fb3411edad729 f3910a5f1b61f68a 63e885a37058a29c 4b83d9e06b22882f
-      fd8e0840df9de16e 8cafe5f77314d9ea 7ff5aea849dd0b65 aaadfc16f7454b18
-      c08a13ee33bd47a1 fe1279b5d9bc449b 4e09bdc71aaa3a21 f314c5b20c971f10
-      ebd56ff4c9536e6c c7593247efff9f19 3a966ed9a14f649f bb47257104b8004e
-      be1963d2f2341097 d68a4e81979a5cb2 39c1d8d5abcd5905 f64e3d631ed73fae
-      c64f374863fa3f65 ec8f266e37356a8b 385a6c309c157265 ec81e135ce369dab
-      1691ed518635d8df b18c2a5a16ff550e 4a240a43327f7684 5dc0b877803fc9ed
-      75f7148876963def 6abd2b0451512419 2aca3b132d631fb9 9cb39b94db7e633e
-      972f6fa072277298 7a19b4ef19d53f5b b4597cd9f6739d66 8463642d387e7244
-      ced19104ddc6a3a8 324ab27bbe7eb33e c4c8cea7bfc4642e 09722c61dd2470a7
-      4e3e806e858c6780 610d5f4916111217 187c17241ac8b6a7 956830a12454770f
-      cc990051f296daa2 c8ae781b4a1e498d 53ae7d7ec8c18ecb 720745b66fcdad62
-      8bedc275b424ef15 09eb727809faccdd 4fa96e0ef15a7433 8b9765f8f3b1d7ef
-      fdeddd081a55bea6 ecac2cb7a9d5c2cb 0e9784a5cc31590e 12f9cc4fd11f0b95
-      f42340e89b0d7e7e 313485eb1897882d d08ea74036f5b83e 3f253f69d0856891
-      1e6a1c42c2b3dfb8 af2670cf9c05359b 79ddf89c75b7c753 2f6246f058a31e45
-      d8bee0f5cfb70c94 6cfd93ec26bfc3aa 83a6cb6f7b8df9ea fe80d5e120072665
-      8847ba4a6aeb7406 38e4e793b6c3ab9d ad6487f63cd8185e c75e1d1efe766f2e
-      28fefa2b2b649743 1fc2c8816a6fd37b 39d38a1cf9e72f03 4b6cc7750aa6fbef
-      7a6ef6ecdaeb0057 adddb7b888bbb65f 0e2c8baf9918c3c1 8160c5c740308e5f
-      005c948d621c5d6c cebaa2b8ebdeb408 9d60b769527b1636 b0c11947c14a0bed
-      0ff9ebdea433553c 5561d29de0e78d10 49c533b631c7b965 9b41876fdacff7f7
-      377434af8509aa7c 4d27b5840f827603 31185d5f4818aeb4 a0a3317b8ba841d0
-      bb4ae004afc791a8 7aab9f667786202f 787325a23d8e5d8b 78613c16d94e124b
-      1eec88d88c7bf8c5 9a480eed6cc77fad 9f6c390e7614234b 4074656b61a61457
-      18b7a27dda3806fc 63637df693a6651a a8d34d8e4533aa1b 5520e566de36fdc2
-      a81f3aa723e655ac 3babb23ace821a28 eabf376e9f7c186a 319459b772d30836
-      ad798dd32d6d7b24 d920d5bd3a44267a 1fc30041df688940 8f52b662b24b4b4f
-      30843934b0665287 a8cb381e7ac45c2d c8ddf6c218dd60ea d9abe9577da99aa7
-      15b993a4cea62ab2 4e17114df196a147 c663e4337c0f6fff 98fed3eb9b6a1b6c
-      f5a7a6270a9eee64 659d121ad4989624 c239d8f5f72b583a 3a0c0366d0c9ad5b
-      9e13f525b7ebce63 e8c3df3deac448c7 e1a2a2078228c21a 9bb2aab9de22da17
-      197b7b315aef681b 395a6a101cae3d5d 5614d6a486dd3182 e440063a93232389
-      4e0a78e9e3c9cdef 038a94db7fc7f48f 0669ce53c1126a5d b391b91b84e64028
-      9128e8340706e39b bcbbc14dc2815ebb ca34cdda8f7b2ce6 c3c3f46fb5133ba4
-      da16502d042904d1 244dbd1d7a8fdf30 399024c2853dd850 3fab76b7c701a4be
-      de051a6490f2d883 6f9e95cbd6d8d640 8369cd30d5966f3f 099d8fe9a483a6f0
-      6455847de2c7ff8e 6ca798ca15ab68f7 7cdffbcde24ca833 f58c3817cbc8f88e
-      e47fae95ff6550f5 55ef28eb7641a59a f7eaa1acc5022c8e 7ddc87774f989fa2
-      d417dc7fb9054cd3 38188496a3452417 316e940df83fcc91 2bfe506781774c41
+      d54f2f313e3506fa 6522895a415633e1 afc93ea2381e2542 b90099bd6966474a
+      360ae4e50d90fd4d 5930d4356dba589a 600d5675229b210c 6d97afff8889df37
+      0018bb862701e7e2 e6239f5522e9ec26 0f5dbe10c770fa55 e0447401c76daaf4
+      761a2514079f44eb cf556d7dc39d2216 28eae8ca47eacbdb a88d8f33da5464d5
+      6fd56e146a3e2702 0cc3468e3de7e361 38acf820342cf645 ce45eb32c4f737bf
+      8960422de6aebc7f 24d38a3fa54521d9 d0bfcdd290ea3dcd 2ab8aef7cc494ac5
+      074a0409384256b9 8f555053737a2149 108df7056871059c f0bd8a9e315e4c22
+      c5f201608b50834e 8e06a4910642b9d4 77a3b4a8223dd94f aa139593ba7a6928
+      8ba8fa4482c048db a535787916642b49 11f30982e1015cc3 0ad46fac3afefd54
+      a05750f2392bbb08 c5628b20a4b5c54e 3d989d7404b21a69 73f746f1cbd25963
+      69a0decfb6b3b4d8 9243b1532cf2d2a2 359af81ca1050628 0797a1b5ff8edb1b
+      81d3b7dae114986f c8c74428505c76cc e7e272b528d25fc7 e2ae580b20bbdb21
+      2f767525b511fa91 a7691c59b06f34d6 54c457d5be34712e 3ec614dc313f4cf5
+      3d14efb8ed208bb6 209c500642780b1c 5ef63a75f8b5be64 0e44bdeac0281834
+      b68fdbfae439d468 76cb9a30b6d952f3 7a33daaece0015c2 f1ad7e2b576f2567
+      0ee00519baf60e76 fd79e5b0bbae7e03 71a69fa3d2091436 899e75f18eb3a8bf
+      e1ccc3350cce6c92 bfdac9eeac685394 3054e554b5811036 b7996f127128a888
+      7059511a25fa1483 def3b016065681bc c438280354f1cba6 77abbd24ebc3fccc
+      aa3496906fc9bdf2 b96107a8f69c3699 b7c20d0c6fde7773 e690084123e93768
+      34e92d504a960a55 dc20ac751b0226f6 954b1fbd16b4a993 6ae2691fb98788a0
+      19a6fdd24e0c5f51 45560542c8c72085 8292045a6903bc03 0405b9fff41a0f5c
+      11cd87f652c802a3 056f145288ba36e2 8d02ab1b6046e0a1 5e31cb97a4f1dc1e
+      3fb11638038d331b 381e7d502da8d9ec cec68c3380d20a33 24d2f88e0aa81f46
+      14951d75fe608aa0 cb704756a99b0044 8740c92dc095b007 0fe38cd6991a9dd8
+      1cf6c1b96ba54fdf 87c87c9bae087c1e 2b5ca5c64e457aaf 5617c892d76228a7
+      9040115b005ed350 745fac59bf72c65e dc129f11bd87c538 0d1977bb939b2e57
+      e60293a5466b2b67 84183e73e1f81232 92d93ff9dfcfd71e eaba4519f1d052fb
+      21b779c689892035 fcbf049143c59961 eb71bc3b68782924 7eff0bc44a9ea117
+      2059bc50ac7f7f7e f04c1cf6e1fdd703 059eddfb396a07e2 2fa9869abbb75962
+      99c43d7eeb72cca9 242a93bd2d07c308 6cd44ec52ae9c145 988537fc07ad08c3
+      8beb948ad2a8450c 1e7f0179111b2338 31abbbe0ae2ab2fd 0b889c8e4c91d5f8
+      d16dcbb2a15e2cc9 f6ade02451391298 be7f661568863e80 aaf6bd76acc5eff9
+      575e95daa357d7c9 e04fa18951852b69 e737ce823548f646 12bdb2e3312525ca
+      4f3f187773d1dcd3 ff48a37c17f6cff2 4bdb9d12e1325fd2 884bbb255e77e157
+      9a88ca7b74eac2e9 f5654fe17b469008 7ddd9bb4c2a6d52c d6bc72ec5bfd0e8f
+      9a3f7d7491ea03f4 89207ed739dac1cb 64e4173a3829b9a8 de32b224c0812f37
+      a84c09ca1f171218 36839493379d3844 1bef59b89d0936ee b74f9d87fbffb15d
+      940d875e63245f0f ae44236c1147014e afb45f109b61e033 4183ff89509341ef
+      b88f7558d1d06456 e4c3c9e3ba24551a 345095ea71716bcc b02191d27f1301c5
+      35d54e08954b617d f9d34402dacb08da 3e99456034e4df6b 1f103ef9692bbbe8
   |}
 
 let test_churny_golden () =
@@ -898,17 +898,17 @@ let observed_cases =
   [
     ( "session-kill-home",
       scenario "session-kill-home",
-      "cc5a5ea76e95ac20abc3c4bd26b7c879" );
+      "517f598b0cf77b53b533636f05e902c4" );
     ( "false-suspicion-storm",
       scenario "false-suspicion-storm",
-      "94a6d6949f9d74260000836323dc8a00" );
+      "bcaea8f32c016222266ffac713b4ff00" );
     ( "churn-storm",
       scenario "churn-storm",
-      "95fc2663d16f14f2fc58e86b7d14370b" );
+      "8f70a91884b6ed7d3c0ffa9ea243adcc" );
     ( "fd smoke",
       (fun ~metrics ~recorder -> ignore (fd_smoke_run ~metrics ~recorder ())),
-      "ea72d33ac5476ed32c0e181495273d08" );
-    ("small plan", small_plan, "4f0b527f30cbc542cbc67ea75ad371c3");
+      "ad3318d6c454b36be836d6cce1ddebd4" );
+    ("small plan", small_plan, "568cecb4c6a01958775c3754bd468c62");
   ]
 
 let test_observed_campaigns () =
