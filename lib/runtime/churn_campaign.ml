@@ -107,7 +107,7 @@ let count_quarantine_leaks execution =
   let seen_value : (Dot.t, int * int) Hashtbl.t = Hashtbl.create 256 in
   let applied : (int * Dot.t, unit) Hashtbl.t = Hashtbl.create 256 in
   let leaks = ref 0 in
-  List.iter
+  Execution.iter
     (fun (ev : Execution.event) ->
       let check_value dot var value =
         match Hashtbl.find_opt seen_value dot with
@@ -124,7 +124,7 @@ let count_quarantine_leaks execution =
       | Execution.Receipt _ | Execution.Blocked _ | Execution.Skip _
       | Execution.Return _ ->
           ())
-    (Execution.events execution);
+    execution;
   !leaks
 
 let run (type pt pm)

@@ -29,7 +29,7 @@ let send_vectors exec =
   let n = Execution.n_processes exec in
   let clocks = Array.init n (fun _ -> V.create n) in
   let stamped = ref Dot.Map.empty in
-  List.iter
+  Execution.iter
     (fun (e : Execution.event) ->
       match e.kind with
       | Execution.Send { dot; _ } ->
@@ -41,7 +41,7 @@ let send_vectors exec =
           | None -> () (* receipt without recorded send: driver bug *))
       | Execution.Apply _ | Execution.Blocked _ | Execution.Skip _
       | Execution.Return _ -> ())
-    (Execution.events exec);
+    exec;
   !stamped
 
 (* ------------------------------------------------------------------ *)
@@ -541,12 +541,12 @@ let final_stores exec =
   let n = Execution.n_processes exec in
   let m = Execution.n_variables exec in
   let stores = Array.init n (fun _ -> Array.make m None) in
-  List.iter
+  Execution.iter
     (fun (e : Execution.event) ->
       match e.kind with
       | Execution.Apply { dot; var; _ } -> stores.(e.proc).(var) <- Some dot
       | _ -> ())
-    (Execution.events exec);
+    exec;
   stores
 
 let divergent_fraction exec =

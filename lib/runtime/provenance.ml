@@ -6,7 +6,7 @@ module Sim_time = Dsm_sim.Sim_time
 let spans exec =
   let c = Span.collector () in
   let sink = Span.sink c in
-  List.iter
+  Execution.iter
     (fun { Execution.proc; time; kind } ->
       let at = Sim_time.to_float time in
       match kind with
@@ -22,7 +22,7 @@ let spans exec =
           sink (Span.Blocked { dot; dst = proc; waiting_for; at })
       | Execution.Skip { dot } -> sink (Span.Skip { dot; dst = proc; at })
       | Execution.Send _ | Execution.Return _ -> ())
-    (Execution.events exec);
+    exec;
   c
 
 (* ---- trace files ---------------------------------------------------- *)
@@ -94,7 +94,7 @@ let explain exec (report : Checker.report) =
      to wait on — and the first apply per (proc, dot) *)
   let claimed = Hashtbl.create 64 in
   let applied = Hashtbl.create 64 in
-  List.iter
+  Execution.iter
     (fun { Execution.proc; time; kind } ->
       match kind with
       | Execution.Blocked { dot; waiting_for } ->
@@ -105,7 +105,7 @@ let explain exec (report : Checker.report) =
           if not (Hashtbl.mem applied (proc, dot)) then
             Hashtbl.add applied (proc, dot) (Sim_time.to_float time)
       | _ -> ())
-    (Execution.events exec);
+    exec;
   let rows =
     List.map
       (fun (d : Checker.delay) ->

@@ -180,11 +180,12 @@ let clean r = r.violations = [] && r.duplicate_writes = 0
    d2 when d2's own issuer applied d1 before applying d2 — the causal
    past a replica-issued write inherits, which is exactly what the
    session-vector gate guarantees across a handoff.  One pass over the
-   events builds a (proc, dot) -> apply-index table. *)
+   events builds a (proc, dot) -> (apply index, apply time) table of
+   each dot's first apply at each process. *)
 let apply_index execution =
-  let tbl : (int * Dot.t, int) Hashtbl.t = Hashtbl.create 1024 in
+  let tbl : (int * Dot.t, int * float) Hashtbl.t = Hashtbl.create 1024 in
   let next = Hashtbl.create 16 in
-  List.iter
+  Execution.iter
     (fun (ev : Execution.event) ->
       match ev.Execution.kind with
       | Execution.Apply { dot; _ } ->
@@ -193,9 +194,10 @@ let apply_index execution =
           in
           Hashtbl.replace next ev.Execution.proc (i + 1);
           if not (Hashtbl.mem tbl (ev.Execution.proc, dot)) then
-            Hashtbl.add tbl (ev.Execution.proc, dot) i
+            Hashtbl.add tbl (ev.Execution.proc, dot)
+              (i, Dsm_sim.Sim_time.to_float ev.Execution.time)
       | _ -> ())
-    (Execution.events execution);
+    execution;
   tbl
 
 (* Ground-truth session-guarantee check over re-attributed streams:
@@ -213,7 +215,7 @@ let audit ~execution ~history ~spans ~home_crashed_after ~streams =
       ( Hashtbl.find_opt idx (issuer, d1),
         Hashtbl.find_opt idx (issuer, d2) )
     with
-    | Some i1, Some i2 -> i1 < i2
+    | Some (i1, _), Some (i2, _) -> i1 < i2
     | _ -> false
   in
   let value_violations =
@@ -245,9 +247,8 @@ let audit ~execution ~history ~spans ~home_crashed_after ~streams =
               let h = sp.oserved_by in
               let returned_own = Option.equal Dot.equal sp.odot (Some own) in
               let applied_before =
-                match Execution.apply_time execution ~proc:h ~dot:own with
-                | Some t ->
-                    Dsm_sim.Sim_time.to_float t <= sp.oserved_at +. 1e-6
+                match Hashtbl.find_opt idx (h, own) with
+                | Some (_, t) -> t <= sp.oserved_at +. 1e-6
                 | None -> false
               in
               if

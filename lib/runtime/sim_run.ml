@@ -50,8 +50,7 @@ let run (module P : Protocol.S) ~spec ~latency ?latency_fn ?(fifo = false)
     ?(faults = Network.no_faults) ?(seed = 1) ?(max_steps = 10_000_000)
     ?(metrics = Metrics.null ()) ?(wire = Dsm_obs.Wire.null ())
     ?(recorder = Dsm_obs.Timeseries.null ()) ?(scrape_every = 25.)
-    ?trace_capacity ?(queue = Engine.Indexed) ?(arena = true)
-    ?(batch = false) () =
+    ?(queue = Engine.Indexed) ?(arena = true) ?(batch = false) () =
   let protocol =
     (module P : Protocol.S with type t = P.t and type msg = P.msg)
   in
@@ -73,9 +72,7 @@ let run (module P : Protocol.S) ~spec ~latency ?latency_fn ?(fifo = false)
   in
   Replica_host.schedule_scrapes engine recorder ~every:scrape_every
     ~horizon:(fun () -> Replica_host.ops_horizon schedule);
-  let execution =
-    Execution.create ?capacity_limit:trace_capacity ~n ~m:spec.Spec.m ()
-  in
+  let execution = Execution.create ~n ~m:spec.Spec.m () in
   let probes = probes metrics in
   let protos = Array.init n (fun me -> P.create cfg ~me) in
   (* every recorded event is stamped with the engine's clock; the

@@ -32,7 +32,6 @@ val run :
   ?wire:Dsm_obs.Wire.t ->
   ?recorder:Dsm_obs.Timeseries.t ->
   ?scrape_every:float ->
-  ?trace_capacity:int ->
   ?queue:Dsm_sim.Engine.queue_impl ->
   ?arena:bool ->
   ?batch:bool ->
@@ -52,9 +51,7 @@ val run :
 
     [metrics] (default: the null registry) receives the network and
     protocol instruments; probes are pure observation, so the run is
-    byte-identical with and without a live registry. [trace_capacity]
-    bounds the execution trace as a ring — only for live monitoring;
-    the checker needs the full trace.
+    byte-identical with and without a live registry.
 
     [wire] (default: inert) receives per-frame byte-cost accounting via
     the protocol's [msg_frame]; [recorder] (default: inert) is scraped

@@ -385,7 +385,7 @@ let run (type pt pm) ?(on_audit = fun _ _ -> ())
     let applied = Hashtbl.create 1024 in
     let g = ref 0 and f = ref 0 and x = ref 0 and d = ref 0 in
     let w = ref 0 and a = ref 0 in
-    List.iter
+    Execution.iter
       (fun (ev : Execution.event) ->
         match ev.Execution.kind with
         | Execution.Send { dot; var = _; value } ->
@@ -407,7 +407,7 @@ let run (type pt pm) ?(on_audit = fun _ _ -> ())
         | Execution.Receipt _ | Execution.Blocked _ | Execution.Skip _
         | Execution.Return _ ->
             ())
-      (Execution.events exec);
+      exec;
     (!w, !a, !g, !f, !x, !d)
   in
   (* ghost-dot scan over live stores: after reclamation no replica may

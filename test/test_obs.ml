@@ -1,10 +1,10 @@
 (* Tests for the observability layer: metrics registry semantics
    (find-or-create merging, kind clashes, the inert null registry),
    span lifecycle assembly (including destinations that crash with the
-   write still buffered), the execution trace ring buffer, and the
-   end-to-end property tying it together: the blocked records a run
-   emits coincide with the checker's delay list, and the provenance
-   explanation witnesses every OptP delay. *)
+   write still buffered), and the end-to-end property tying it
+   together: the blocked records a run emits coincide with the
+   checker's delay list, and the provenance explanation witnesses every
+   OptP delay. *)
 
 module Metrics = Dsm_obs.Metrics
 module Span = Dsm_obs.Span
@@ -15,7 +15,6 @@ module Checker = Dsm_runtime.Checker
 module Provenance = Dsm_runtime.Provenance
 module Spec = Dsm_workload.Spec
 module Latency = Dsm_sim.Latency
-module Sim_time = Dsm_sim.Sim_time
 module Dot = Dsm_vclock.Dot
 
 let check_bool = Alcotest.(check bool)
@@ -23,7 +22,6 @@ let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
 
 let dot r s = Dot.make ~replica:r ~seq:s
-let t f = Sim_time.of_float f
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -226,33 +224,6 @@ let test_exporters_smoke () =
     (contains ~sub:"w2#9" chrome)
 
 (* ------------------------------------------------------------------ *)
-(* Execution trace ring buffer                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_ring_buffer_eviction () =
-  let e = Execution.create ~capacity_limit:8 ~n:1 ~m:1 () in
-  for s = 1 to 20 do
-    Execution.record e ~proc:0 ~time:(t (float_of_int s))
-      (Execution.Apply { dot = dot 0 s; var = 0; value = s; delayed = false })
-  done;
-  check_int "ring keeps the cap" 8 (List.length (Execution.events e));
-  check_int "dropped the rest" 12 (Execution.dropped_events e);
-  (* survivors are the most recent events, still in order *)
-  match Execution.events e with
-  | { Execution.kind = Execution.Apply { dot = d; _ }; _ } :: _ ->
-      check_bool "oldest survivor is w1#13" true (Dot.equal d (dot 0 13))
-  | _ -> Alcotest.fail "expected apply events"
-
-let test_unbounded_trace_drops_nothing () =
-  let e = Execution.create ~n:1 ~m:1 () in
-  for s = 1 to 20 do
-    Execution.record e ~proc:0 ~time:(t (float_of_int s))
-      (Execution.Apply { dot = dot 0 s; var = 0; value = s; delayed = false })
-  done;
-  check_int "all kept" 20 (Execution.event_count e);
-  check_int "none dropped" 0 (Execution.dropped_events e)
-
-(* ------------------------------------------------------------------ *)
 (* End to end: blocked records vs checker delays, and explain          *)
 (* ------------------------------------------------------------------ *)
 
@@ -368,12 +339,6 @@ let () =
           Alcotest.test_case "truncated issue" `Quick
             test_span_truncated_issue;
           Alcotest.test_case "exporters smoke" `Quick test_exporters_smoke;
-        ] );
-      ( "trace-ring",
-        [
-          Alcotest.test_case "eviction" `Quick test_ring_buffer_eviction;
-          Alcotest.test_case "unbounded keeps all" `Quick
-            test_unbounded_trace_drops_nothing;
         ] );
       ( "provenance",
         [

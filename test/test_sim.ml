@@ -1,6 +1,6 @@
 (* Unit and property tests for the discrete-event simulator substrate:
    Rng, Sim_time, Pairing_heap, Event_queue, Engine, Latency, Mailbox,
-   Network, Trace. *)
+   Network. *)
 
 module Rng = Dsm_sim.Rng
 module Sim_time = Dsm_sim.Sim_time
@@ -10,7 +10,6 @@ module Engine = Dsm_sim.Engine
 module Latency = Dsm_sim.Latency
 module Mailbox = Dsm_sim.Mailbox
 module Network = Dsm_sim.Network
-module Trace = Dsm_sim.Trace
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -639,40 +638,6 @@ let test_reliable_channel_validation () =
            ~retransmit_after:0. ()))
 
 (* ------------------------------------------------------------------ *)
-(* Trace                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_trace_append_get () =
-  let t = Trace.create ~initial_capacity:2 () in
-  for i = 0 to 9 do
-    Trace.record t i
-  done;
-  check_int "length" 10 (Trace.length t);
-  check_int "get" 7 (Trace.get t 7);
-  Alcotest.(check (list int))
-    "to_list" (List.init 10 Fun.id) (Trace.to_list t)
-
-let test_trace_bounds () =
-  let t = Trace.create () in
-  Trace.record t 1;
-  Alcotest.check_raises "oob"
-    (Invalid_argument "Trace.get: index out of bounds") (fun () ->
-      ignore (Trace.get t 1))
-
-let test_trace_queries () =
-  let t = Trace.create () in
-  List.iter (Trace.record t) [ 1; 2; 3; 4; 5 ];
-  check_int "count" 2 (Trace.count (fun x -> x mod 2 = 0) t);
-  Alcotest.(check (list int))
-    "filter" [ 2; 4 ]
-    (Trace.filter (fun x -> x mod 2 = 0) t);
-  check_bool "find_opt" true (Trace.find_opt (fun x -> x > 3) t = Some 4);
-  check_bool "find_index" true (Trace.find_index (fun x -> x > 3) t = Some 3);
-  check_int "fold" 15 (Trace.fold ( + ) 0 t);
-  Trace.clear t;
-  check_int "cleared" 0 (Trace.length t)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "sim"
@@ -775,11 +740,5 @@ let () =
             test_reliable_channel_exactly_once_under_faults;
           Alcotest.test_case "reliable channel validation" `Quick
             test_reliable_channel_validation;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "append/get" `Quick test_trace_append_get;
-          Alcotest.test_case "bounds" `Quick test_trace_bounds;
-          Alcotest.test_case "queries" `Quick test_trace_queries;
         ] );
     ]
