@@ -27,13 +27,17 @@ let issuer_offset t j = t.off.(j)
 let position t j s = t.off.(j) + s - t.base.(j) - 1
 let view_at t i = t.vecs.(i)
 
-let index t d =
-  let j = Dot.replica d in
-  if j >= Array.length t.base then -1
+let index_parts t ~replica ~gen ~seq =
+  if replica < 0 || replica >= Array.length t.base then -1
   else
-    let i = position t j (Dot.seq d) in
-    if i >= t.off.(j) && i < t.off.(j + 1) && Dot.equal t.ws.(i).wdot d then i
+    let i = position t replica seq in
+    let is (w : Dot.t) = w.replica = replica && w.seq = seq && w.gen = gen in
+    if i >= t.off.(replica) && i < t.off.(replica + 1) && is t.ws.(i).wdot
+    then i
     else -1
+
+let index t (d : Dot.t) =
+  index_parts t ~replica:d.replica ~gen:d.gen ~seq:d.seq
 
 let write_view t d =
   let i = index t d in

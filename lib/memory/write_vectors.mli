@@ -51,6 +51,11 @@ val index : t -> Dsm_vclock.Dot.t -> int
 (** The index of a write of the history, generation included; [-1] for
     any other dot. *)
 
+val index_parts : t -> replica:int -> gen:int -> seq:int -> int
+(** [index] of the dot [(replica, gen, seq)], without the dot: [-1]
+    when no write of the history has these parts, a negative replica
+    included. *)
+
 val issuer_offset : t -> int -> int
 (** [issuer_offset t j] is the index of [p_j]'s first write, for [j] in
     [0 .. n]; [issuer_offset t n = n_writes t]. *)

@@ -22,17 +22,30 @@
       by design, with each miss accounted as a skip or a lost write.
 
     {b Cost.} With full replication (no [?replication]) the audit
-    costs O(n) per event for [n] processes, times a logarithmic factor
-    from binary searches over the [w] writes where noted. An apply
-    checks safety against its vector and, if delayed, finds at most one
-    blocking range per issuer by binary search. A read finds, per
-    issuer, its last write on the variable inside the read's past by
-    binary search and walks down from it while the writes are causally
-    interposed: one test per issuer, plus one per violation reported.
+    costs at most O(n) per event for [n] processes, times a logarithmic
+    factor from binary searches over the [w] writes where noted. It
+    reads each event's row in place ({!Execution.Row}).
+    - An apply checks safety only on the components where its write's
+      vector exceeds the vector of its issuer's previous write, when
+      that write was applied here and its own check reported nothing:
+      the applied counts only grow, so every other component still
+      holds. Otherwise, and for an issuer's first write, it checks all
+      [n]. The table of grown components is built once per audit, in
+      O(n·w).
+    - A delayed apply is classified by a scan of the issuers that stops
+      at the first one whose needed writes were not all covered at
+      receipt. The delay keeps its receipt position, and {!blocking}
+      rebuilds its ranges on demand, by binary search, from per-process
+      coverage positions that the report keeps.
+    - A read finds, per issuer, its last write on the variable inside
+      the read's past by binary search and walks down from it while the
+      writes are causally interposed: one test per issuer, plus one per
+      violation reported.
+
     Per-write state lives in arrays over the dense write index of
     {!Dsm_memory.Write_vectors}, sized from the run, and vectors are
-    read in place. The partial-replication audit stays O(w) per
-    apply. *)
+    read in place. The partial-replication audit stays O(w) per apply
+    and builds each delay's ranges when it classifies it. *)
 
 type violation =
   | Safety of {
@@ -54,19 +67,29 @@ type range = { issuer : int; gen : int; first : int; last : int }
 (** The writes [first..last] (sequence numbers, inclusive) of slot
     [issuer], named as dots of occupant generation [gen]. *)
 
-type delay = {
+type basis
+(** What {!blocking} reads a delay's ranges from. *)
+
+(** A delayed apply, as {!check} found it; only the audit makes one. *)
+type delay = private {
   dproc : int;
   ddot : Dsm_vclock.Dot.t;
   dclass : delay_class;
-  dblocking : range list;
-      (** causal predecessors missing at receipt time (empty iff
-          [Unnecessary]). With full replication, at most one range per
-          issuer, issuers ascending: the run from the receipt-time
-          count + 1 up to what the write needs from that issuer, named
-          at generation 0 like {!Safety}'s [missing]. With partial
-          replication, one single-write range per missing write, in
-          reverse history order. *)
+  dreceipt : int;
+      (** the position in [dproc]'s event sequence of the write's last
+          receipt before the delayed apply *)
+  dbasis : basis;
 }
+
+val blocking : delay -> range list
+(** The delay's causal predecessors missing at receipt time (empty iff
+    [Unnecessary]). With full replication, at most one range per
+    issuer, issuers ascending: the run from the receipt-time count + 1
+    up to what the write needs from that issuer, named at generation 0
+    like {!Safety}'s [missing]. These are rebuilt on each call, by one
+    binary search per blocking issuer, from the coverage positions the
+    report keeps. With partial replication, one single-write range per
+    missing write, in reverse history order, kept from the audit. *)
 
 val blocking_dots : range list -> Dsm_vclock.Dot.t list
 (** The ranges expanded into dots, sequence numbers descending within

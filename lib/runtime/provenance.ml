@@ -118,9 +118,10 @@ let explain exec (report : Checker.report) =
           | Some b, Some a -> Some (a -. b)
           | _ -> None
         in
+        let eblocking = Checker.blocking d in
         let eagrees =
           match ewaiting_for with
-          | Some w -> List.exists (in_range w) d.dblocking
+          | Some w -> List.exists (in_range w) eblocking
           | None -> false
         in
         {
@@ -132,7 +133,7 @@ let explain exec (report : Checker.report) =
             | None -> -1);
           eclass = d.dclass;
           ewaiting_for;
-          eblocking = d.dblocking;
+          eblocking;
           eblocked_at;
           eapplied_at;
           ewait;

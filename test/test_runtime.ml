@@ -469,7 +469,7 @@ let test_checker_delay_classes () =
   (match r.Checker.delays with
   | [ d ] ->
       Alcotest.(check (list string)) "blocked on w1" [ "w1#1" ]
-        (List.map Dot.to_string (Checker.blocking_dots d.Checker.dblocking))
+        (List.map Dot.to_string (Checker.blocking_dots (Checker.blocking d)))
   | _ -> Alcotest.fail "expected one delay record");
   (* now an unnecessary delay: same receipt order but w1 was already
      applied when w2 arrived *)

@@ -77,7 +77,7 @@ let test_figure6_optp_one_necessary_delay () =
       Alcotest.(check (list string))
         "blocked by exactly a"
         [ Dot.to_string PS.w1a ]
-        (List.map Dot.to_string (Checker.blocking_dots d.dblocking))
+        (List.map Dot.to_string (Checker.blocking_dots (Checker.blocking d)))
   | _ -> Alcotest.fail "expected exactly one delay record"
 
 (* In figure 6, OptP applies b at p3 before c arrives: b's apply must
