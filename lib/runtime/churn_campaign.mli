@@ -268,6 +268,12 @@ val run :
     the plan is invalid for that universe, or [?detector] is combined
     with a plan containing [Join]/[Leave] events without [~mixed:true]. *)
 
+val count_quarantine_leaks : Execution.t -> int
+(** The ghost-dot scan behind [quarantine_leaks], over the events in
+    global order: one leak per [Send] or [Apply] whose [(var, value)]
+    differs from the first seen for its dot, and one per repeated
+    [Apply] of a dot at one process. *)
+
 val catch_up_latency : catch_up -> float option
 
 val pp_catch_up : Format.formatter -> catch_up -> unit

@@ -30,6 +30,8 @@ module Spec = Dsm_workload.Spec
 module Membership = Dsm_runtime.Membership
 module Churn_campaign = Dsm_runtime.Churn_campaign
 module Checker = Dsm_runtime.Checker
+module Execution = Dsm_runtime.Execution
+module Dot = Dsm_vclock.Dot
 
 let t0 = Sim_time.zero
 
@@ -225,6 +227,40 @@ let test_stale_incarnation_quarantine () =
      the engine drained — reaching this line is the liveness assertion *)
   Alcotest.(check int) "nothing left unacked" 0 (Reliable_channel.unacked ch)
 
+(* The campaign's ghost-dot scan counts what it should on a hand-made
+   execution: a second apply of one dot at one process, and each send or
+   apply whose binding differs from the first seen for the dot. A dot of
+   another generation, an apply at another process, and receipts, skips
+   and reads count nothing. *)
+let test_ghost_dot_scan () =
+  let e = Execution.create ~n:3 ~m:2 () in
+  let at = ref 0. in
+  let record proc kind =
+    at := !at +. 1.;
+    Execution.record e ~proc ~time:(Sim_time.of_float !at) kind
+  in
+  let w1 = Dot.make ~replica:0 ~seq:1
+  and w1' = Dot.make_gen ~replica:0 ~gen:1 ~seq:1
+  and w2 = Dot.make ~replica:1 ~seq:1 in
+  let apply proc dot var value =
+    record proc (Execution.Apply { dot; var; value; delayed = false })
+  in
+  apply 0 w1 0 5;
+  record 0 (Execution.Send { dot = w1; var = 0; value = 5 });
+  record 1 (Execution.Receipt { dot = w1; src = 0 });
+  apply 1 w1 0 5;
+  apply 1 w1 0 5 (* applied twice at p2: one leak *);
+  apply 2 w1 0 6 (* another value: one leak *);
+  apply 2 w1' 0 7 (* another generation: a dot of its own *);
+  record 2 (Execution.Skip { dot = w1 });
+  apply 1 w2 1 3;
+  record 1 (Execution.Send { dot = w2; var = 0; value = 3 })
+  (* another variable: one leak *);
+  record 0
+    (Execution.Return
+       { var = 1; value = Dsm_memory.Operation.Val 4; read_from = Some w2 });
+  Alcotest.(check int) "leaks" 3 (Churn_campaign.count_quarantine_leaks e)
+
 (* ---------------------------------------------------------------- *)
 (* scripted churn campaign                                           *)
 (* ---------------------------------------------------------------- *)
@@ -395,6 +431,7 @@ let () =
           Alcotest.test_case "corruption heals" `Quick test_corruption_heals;
           Alcotest.test_case "stale incarnation quarantine" `Quick
             test_stale_incarnation_quarantine;
+          Alcotest.test_case "ghost-dot scan" `Quick test_ghost_dot_scan;
         ] );
       ( "churn campaigns",
         [
