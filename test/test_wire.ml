@@ -180,7 +180,44 @@ let test_wire_delta_baseline () =
   (* reset also forgets baselines: the next frame prices like the first *)
   Wire.record w ~src:0 ~dst:1 (frame (V.of_array [| 4; 0; 1 |]));
   check_int "reset forgets delta baselines" (4 + 24)
-    (Wire.totals w).Wire.delta_meta
+    (Wire.totals w).Wire.delta_meta;
+  (* a wider vector on an edge that has a baseline prices against
+     zeros, then becomes the baseline *)
+  let delta () = (Wire.totals w).Wire.delta_meta in
+  let before = delta () in
+  Wire.record w ~src:0 ~dst:1 (frame (V.of_array [| 4; 0; 1; 5 |]));
+  check_int "wider vector prices against zeros" (4 + 36) (delta () - before);
+  let before = delta () in
+  Wire.record w ~src:0 ~dst:1 (frame (V.of_array [| 4; 0; 1; 5 |]));
+  check_int "the wider vector is the new baseline" 4 (delta () - before);
+  (* a frame's second vector keeps its own baseline *)
+  let pair a b =
+    { Wire.kind = "transfer"; scalars = 0; dots = 0;
+      vectors = [ V.of_array a; V.of_array b ] }
+  in
+  Wire.record w ~src:1 ~dst:0 (pair [| 4; 0; 1 |] [| 7; 7; 7 |]);
+  let before = delta () in
+  Wire.record w ~src:1 ~dst:0 (pair [| 4; 0; 1 |] [| 7; 8; 7 |]);
+  check_int "second vector against its own baseline" (4 + 4 + 12)
+    (delta () - before);
+  let before = delta () in
+  Wire.record w ~src:1 ~dst:0 (frame (V.of_array [| 4; 0; 1 |]));
+  Wire.record w ~src:1 ~dst:0 (pair [| 4; 0; 1 |] [| 7; 8; 7 |]);
+  check_int "a one-vector frame leaves the second baseline" (4 + 4 + 4)
+    (delta () - before);
+  (* the baseline is a copy: mutating a recorded vector in place does
+     not move the next delta *)
+  let v = V.of_array [| 1; 2; 3 |] in
+  Wire.reset w;
+  Wire.record w ~src:0 ~dst:1 (frame v);
+  V.set v 0 9;
+  let before = delta () in
+  Wire.record w ~src:0 ~dst:1 (frame v);
+  check_int "fresh baseline is a copy" (4 + 12) (delta () - before);
+  V.set v 1 9;
+  let before = delta () in
+  Wire.record w ~src:0 ~dst:1 (frame v);
+  check_int "refreshed baseline is a copy" (4 + 12) (delta () - before)
 
 let test_wire_json () =
   let _, _, wire = run_observed ~n:4 ~seed:7 in
