@@ -204,12 +204,13 @@ module Make (B : Buffer.S) = struct
 
   let receive t ~src msg =
     let status = status t in
-    match status (src, msg) with
+    let x = (src, msg) in
+    match status x with
     | Buffer.Ready ->
         let first = apply_msg t ~status ~src msg ~from_buffer:false in
         first :: drain t ~status
-    | Wait_for _ | Stuck ->
-        B.add t.buffer ~status (src, msg);
+    | (Wait_for _ | Stuck) as s ->
+        B.add t.buffer s x;
         []
 
   let buffered t = B.length t.buffer

@@ -244,21 +244,23 @@ module Make (B : Buffer.S) = struct
       (* already logically applied by a skip: discard the late message *)
       no_effects
     else
-      match status (src, m) with
+      let x = (src, m) in
+      match status x with
       | Buffer.Ready ->
           let first = apply_msg t ~status ~src m ~from_buffer:false in
           let applied, skipped = drain t ~status in
           effects ~applied:(first :: applied) ~skipped ()
-      | Wait_for _ | Stuck -> (
+      | (Wait_for _ | Stuck) as s -> (
           match skip_for_incoming t ~status ~src m with
           | Some (first, d) ->
               let applied, skipped = drain t ~status in
               effects ~applied:(first :: applied) ~skipped:(d :: skipped) ()
           | None ->
-              (* a buffered message changes no delivery state, so no
+              (* a refused skip changed nothing, so [s] still holds; a
+                 buffered message changes no delivery state, so no
                  other buffered message can have become ready: no drain
                  needed *)
-              B.add t.buffer ~status (src, m);
+              B.add t.buffer s x;
               no_effects)
 
   let buffered t = B.length t.buffer

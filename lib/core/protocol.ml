@@ -79,10 +79,11 @@ end
    of a receive cascade. The skeletons instead thread ONE hoisted
    closure through the whole cascade — the closure reads the protocol
    state through its captured [t], so it stays correct as applies
-   advance the counters. The oracle-call sequence is exactly the seed
-   protocols' (one status check on the incoming message, one
-   [take_ready] per drain iteration, the [add] on the buffered path),
-   so pinned wakeup-scan metrics are unchanged. *)
+   advance the counters. The status check on the incoming message
+   also routes it: a message that must wait is added with the status
+   just computed, which the buffer counts as its routing call, so the
+   oracle-call count (one per [take_ready] candidate, one per add) and
+   every pinned wakeup-scan metric are unchanged. *)
 module Step (B : Dsm_sim.Delivery_buffer.S) = struct
   let drain buffer ~status ~apply =
     (* apply inside the loop: each apply can enable further buffered
@@ -97,12 +98,13 @@ module Step (B : Dsm_sim.Delivery_buffer.S) = struct
     go []
 
   let receive buffer ~status ~apply ~src m =
-    match status (src, m) with
+    let x = (src, m) in
+    match status x with
     | Dsm_sim.Delivery_buffer.Ready ->
         let first = apply ~src m ~from_buffer:false in
         effects ~applied:(first :: drain buffer ~status ~apply) ()
-    | Wait_for _ | Stuck ->
-        B.add buffer ~status (src, m);
+    | (Wait_for _ | Stuck) as s ->
+        B.add buffer s x;
         no_effects
 end
 

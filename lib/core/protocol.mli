@@ -201,8 +201,10 @@ end
     ([status t]) {e once} per entry point and thread it through the
     whole receive cascade, instead of rebuilding the partial
     application at every buffer operation — the dominant steady-state
-    allocation of the seed protocols. The oracle-call sequence (and so
-    every pinned wakeup-scan metric) is identical to the seed shape. *)
+    allocation of the seed protocols. The oracle-call count (and so
+    every pinned wakeup-scan metric) is identical to the seed shape,
+    in which the buffer evaluated a buffered message's status again
+    on [add]. *)
 module Step (B : Dsm_sim.Delivery_buffer.S) : sig
   val drain :
     (int * 'm) B.t ->
@@ -221,7 +223,9 @@ module Step (B : Dsm_sim.Delivery_buffer.S) : sig
     'm effects
   (** The canonical receipt shape (OptP Figure 5 / causal broadcast):
       apply-then-drain when the incoming message is [Ready], buffer it
-      otherwise. *)
+      otherwise. The one [status] evaluation of the incoming message
+      decides both: a message that must wait is added with that status
+      ({!Dsm_sim.Delivery_buffer.S.add}), not evaluated again. *)
 end
 
 (** Existential wrapper so heterogeneous protocols can be listed in

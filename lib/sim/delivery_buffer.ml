@@ -7,7 +7,7 @@ module type S = sig
   type 'a t
 
   val create : unit -> 'a t
-  val add : 'a t -> status:('a -> status) -> 'a -> unit
+  val add : 'a t -> status -> 'a -> unit
   val take_ready : 'a t -> status:('a -> status) -> 'a option
   val note_advance :
     'a t -> status:('a -> status) -> counter:int -> count:int -> unit
@@ -26,7 +26,7 @@ module Scan : S = struct
   type 'a t = 'a Mailbox.t
 
   let create = Mailbox.create
-  let add t ~status:_ x = Mailbox.add t x
+  let add t _ x = Mailbox.add t x
 
   let take_ready t ~status =
     Mailbox.take_first t ~f:(fun x ->

@@ -26,7 +26,14 @@ module type S = sig
   type 'a t
 
   val create : unit -> 'a t
-  val add : 'a t -> status:('a -> status) -> 'a -> unit
+
+  val add : 'a t -> status -> 'a -> unit
+  (** [add t s x] buffers [x], whose status at receipt was [s]: the
+      receive that decided [x] must wait passes the status it has just
+      computed instead of having the buffer evaluate the oracle again.
+      {!Indexed} routes [x] by [s] and counts it as one oracle call;
+      {!Scan} ignores it. *)
+
   val take_ready : 'a t -> status:('a -> status) -> 'a option
   val note_advance :
     'a t -> status:('a -> status) -> counter:int -> count:int -> unit
