@@ -1650,7 +1650,10 @@ let graph_cmd =
       latency seed =
     let spec = spec_of ~n ~m ~ops ~write_ratio ~zipf ~seed in
     let outcome = Sim_run.run (module P) ~spec ~latency ~seed () in
-    let co = Dsm_memory.Causal_order.compute outcome.history in
+    let co =
+      Dsm_memory.Causal_order.compute
+        (Dsm_runtime.Execution.to_history outcome.execution)
+    in
     let graph = Dsm_memory.Causality_graph.compute co in
     print_string (Dsm_memory.Causality_graph.to_graphviz graph);
     `Ok ()

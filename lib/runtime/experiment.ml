@@ -663,7 +663,7 @@ let q10_metadata_size ?(ns = [ 3; 6; 9; 12 ]) ?(seeds = [ 1; 2; 3 ])
             let report = Checker.check o.Sim_run.execution in
             if not (Checker.is_clean report) then
               failwith "q10: unclean OptP-direct run";
-            mean_dependency_count o.Sim_run.history)
+            mean_dependency_count (Execution.to_history o.Sim_run.execution))
           seeds
       in
       let mean = Summary.mean (Summary.of_list means) in

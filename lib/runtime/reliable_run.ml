@@ -7,7 +7,6 @@ module Spec = Dsm_workload.Spec
 
 type outcome = {
   execution : Execution.t;
-  history : Dsm_memory.History.t;
   protocol_name : string;
   payloads_sent : int;
   frames_sent : int;
@@ -86,7 +85,6 @@ let run (module P : Protocol.S) ~spec ~latency ~faults
   Replica_host.drain engine ~max_steps ("Reliable_run: " ^ P.name);
   {
     execution;
-    history = Execution.to_history execution;
     protocol_name = P.name;
     payloads_sent = Reliable_channel.payloads_sent channel;
     frames_sent = Network.messages_sent network;

@@ -12,7 +12,6 @@
 
 type outcome = {
   execution : Execution.t;
-  history : Dsm_memory.History.t;
   protocol_name : string;
   payloads_sent : int;  (** distinct protocol messages *)
   frames_sent : int;  (** wire frames incl. acks and retransmissions *)

@@ -8,7 +8,6 @@ module V = Dsm_vclock.Vector_clock
 
 type outcome = {
   execution : Execution.t;
-  history : Dsm_memory.History.t;
   protocol_name : string;
   messages_sent : int;
   messages_delivered : int;
@@ -144,7 +143,6 @@ let run (module P : Protocol.S) ~spec ~latency ?latency_fn ?(fifo = false)
   Replica_host.scrape_buffers protocol metrics (Array.to_list protos);
   {
     execution;
-    history = Execution.to_history execution;
     protocol_name = P.name;
     messages_sent = Network.messages_sent network;
     messages_delivered = Network.messages_delivered network;

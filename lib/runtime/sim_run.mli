@@ -3,12 +3,13 @@
     This is the main experiment driver: it expands a workload spec into
     per-process schedules, creates one node per process, lets the
     discrete-event engine run to quiescence, and returns the recorded
-    execution together with the reconstructed abstract history and
-    summary statistics. Deterministic in [(spec.seed, seed)]. *)
+    execution and summary statistics. {!Execution.to_history}
+    reconstructs the abstract history from the execution when a caller
+    needs it ({!Checker.check} builds its own). Deterministic in
+    [(spec.seed, seed)]. *)
 
 type outcome = {
   execution : Execution.t;
-  history : Dsm_memory.History.t;
   protocol_name : string;
   messages_sent : int;
   messages_delivered : int;

@@ -140,8 +140,9 @@ let prop_write_co_characterizes_co =
   qcheck_case ~count:20 "Write_co comparisons = causal order" params_gen
     (fun params ->
       let o = run_of params (module Dsm_core.Opt_p) in
-      let wv = Write_vectors.compute o.Sim_run.history in
-      let writes = History.writes o.Sim_run.history in
+      let history = Execution.to_history o.Sim_run.execution in
+      let wv = Write_vectors.compute history in
+      let writes = History.writes history in
       (* vector comparison and ↦co agree on every pair *)
       List.for_all
         (fun (w1 : Operation.write) ->
@@ -161,8 +162,9 @@ let prop_corollary2 =
   qcheck_case ~count:15 "Corollary 2 on every concurrent pair" params_gen
     (fun params ->
       let o = run_of params (module Dsm_core.Opt_p) in
-      let wv = Write_vectors.compute o.Sim_run.history in
-      let writes = History.writes o.Sim_run.history in
+      let history = Execution.to_history o.Sim_run.execution in
+      let wv = Write_vectors.compute history in
+      let writes = History.writes history in
       List.for_all
         (fun (w1 : Operation.write) ->
           List.for_all
@@ -221,8 +223,9 @@ let prop_final_values_causally_maximal =
     params_gen
     (fun params ->
       let o = run_of params (module Dsm_core.Opt_p) in
-      let wv = Write_vectors.compute o.Sim_run.history in
-      let writes = History.writes o.Sim_run.history in
+      let history = Execution.to_history o.Sim_run.execution in
+      let wv = Write_vectors.compute history in
+      let writes = History.writes history in
       let n = Execution.n_processes o.Sim_run.execution in
       List.for_all
         (fun proc ->
@@ -261,7 +264,8 @@ let prop_direct_equals_optp =
       let o1 = run_of params (module Dsm_core.Opt_p) in
       let o2 = run_of params (module Dsm_core.Opt_p_direct) in
       let same_history =
-        History.ops o1.Sim_run.history = History.ops o2.Sim_run.history
+        History.ops (Execution.to_history o1.Sim_run.execution)
+        = History.ops (Execution.to_history o2.Sim_run.execution)
       in
       let same_delays =
         Execution.delayed_applies o1.Sim_run.execution

@@ -342,8 +342,8 @@ let test_sim_run_deterministic () =
   check_int "same delays" (Execution.delay_count o1.Sim_run.execution)
     (Execution.delay_count o2.Sim_run.execution);
   check_bool "same histories" true
-    (Dsm_memory.History.ops o1.Sim_run.history
-    = Dsm_memory.History.ops o2.Sim_run.history)
+    (Dsm_memory.History.ops (Execution.to_history o1.Sim_run.execution)
+    = Dsm_memory.History.ops (Execution.to_history o2.Sim_run.execution))
 
 let test_sim_run_message_count () =
   (* every write broadcasts to n-1 destinations *)

@@ -116,7 +116,9 @@ let prop_protocol_runs_satisfy_guarantees =
               ~latency:(Dsm_sim.Latency.Lognormal { mu = 2.0; sigma = 1.0 })
               ~seed:(seed + 1) ()
           in
-          SG.all_hold (Causal_order.compute o.Dsm_runtime.Sim_run.history))
+          SG.all_hold
+            (Causal_order.compute
+               (Dsm_runtime.Execution.to_history o.Dsm_runtime.Sim_run.execution)))
         [ (module Dsm_core.Opt_p : Dsm_core.Protocol.S);
           (module Dsm_core.Anbkh);
           (module Dsm_core.Ws_receiver);
