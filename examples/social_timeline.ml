@@ -101,7 +101,6 @@ module Eager : Protocol.S = struct
         ]
       ()
 
-  let waiting_for _ ~src:_ _ = None (* never buffers *)
   let buffered _ = 0
   let buffer_wakeup_scans _ = 0
   let buffer_high_watermark _ = 0

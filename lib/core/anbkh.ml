@@ -21,7 +21,7 @@ module Make (B : Buffer.S) = struct
     store : Replica_store.t;
     delivered : V.t;  (* per-issuer count of writes applied here *)
     vt : V.t;  (* Fidge-Mattern clock over write-send events *)
-    buffer : (int * msg) B.t;
+    buffer : msg B.t;
   }
 
   let name = "ANBKH"
@@ -55,35 +55,12 @@ module Make (B : Buffer.S) = struct
       V.grow t.vt n
     end
 
-  (* causal-broadcast wait condition as a wakeup constraint; the scan
-     bound is the narrower of the local view and the message's send-time
-     view — components beyond a vector's size are implicit zeros and can
-     never block *)
-  let status t ((src, m) : int * msg) : Buffer.status =
-    let d_src = V.get0 t.delivered src in
-    let v_src = V.get0 m.vt src in
-    if d_src < v_src - 1 then Wait_for { counter = src; count = v_src - 1 }
-    else if d_src > v_src - 1 then Stuck  (* duplicate: already applied *)
-    else
-      let n = min t.cfg.n (V.size m.vt) in
-      let rec scan k =
-        if k >= n then Buffer.Ready
-        else if k <> src && V.unsafe_get m.vt k > V.unsafe_get t.delivered k
-        then Wait_for { counter = k; count = V.unsafe_get m.vt k }
-        else scan (k + 1)
-      in
-      scan 0
+  (* causal-broadcast wait condition as a wakeup constraint *)
+  let status t ~src (m : msg) w =
+    vector_wait ~applied:t.delivered ~wanted:m.vt ~n:t.cfg.n ~src w
 
-  let deliverable t ~src (m : msg) =
-    match status t (src, m) with
-    | Buffer.Ready -> true
-    | Wait_for _ | Stuck -> false
-
-  let waiting_for t ~src m =
-    match status t (src, m) with
-    | Buffer.Wait_for { counter; count } ->
-        Some (Dot.make ~replica:counter ~seq:count)
-    | Ready | Stuck -> None
+  let deliverable t ~src m =
+    status t ~src m { Buffer.resume = 0; counter = 0; count = 0 } = Buffer.Ready
 
   module Step = Protocol.Step (B)
 
@@ -96,7 +73,7 @@ module Make (B : Buffer.S) = struct
     let m = { var; value; dot; vt } in
     Replica_store.apply t.store ~var ~value ~dot;
     V.tick t.delivered t.me;
-    B.note_advance t.buffer ~status:(status t) ~counter:t.me
+    B.note_advance t.buffer status t ~counter:t.me
       ~count:(V.unsafe_get t.delivered t.me);
     let applied =
       [ { adot = dot; avar = var; avalue = value; afrom_buffer = false } ]
@@ -107,11 +84,11 @@ module Make (B : Buffer.S) = struct
      does not change on reads *)
   let read t ~var = Replica_store.read t.store ~var
 
-  let apply_msg t ~status ~src m ~from_buffer =
+  let apply_msg t ~src m ~from_buffer =
     Replica_store.apply t.store ~var:m.var ~value:m.value ~dot:m.dot;
     V.tick t.delivered src;
     if Dot.gen m.dot > 0 then V.set_gen t.delivered src (Dot.gen m.dot);
-    B.note_advance t.buffer ~status ~counter:src
+    B.note_advance t.buffer status t ~counter:src
       ~count:(V.unsafe_get t.delivered src);
     (* causal broadcast: absorb the sender's knowledge unconditionally —
        the source of false causality w.r.t. ↦co. [merge_into] is the
@@ -119,9 +96,10 @@ module Make (B : Buffer.S) = struct
     V.merge_into t.vt m.vt;
     { adot = m.dot; avar = m.var; avalue = m.value; afrom_buffer = from_buffer }
 
+  let drained t ~src m = apply_msg t ~src m ~from_buffer:true
+
   let receive t ~src m =
-    let status = status t in
-    Step.receive t.buffer ~status ~apply:(apply_msg t ~status) ~src m
+    Step.receive t.buffer status t ~apply:apply_msg ~drained ~src m
 
   let buffered t = B.length t.buffer
   let buffer_high_watermark t = B.high_watermark t.buffer

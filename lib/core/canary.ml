@@ -62,13 +62,6 @@ let read t ~var = Replica_store.read t.store ~var
    — cross-issuer causal order is simply ignored. *)
 let deliverable t ~src (m : msg) = V.get t.apply_cnt src = Dot.seq m.dot - 1
 
-let waiting_for t ~src (m : msg) =
-  let a = V.get t.apply_cnt src in
-  let seq = Dot.seq m.dot in
-  if a >= seq then None
-  else if a < seq - 1 then Some (Dot.make ~replica:src ~seq:(seq - 1))
-  else None
-
 let apply_msg t ~src (m : msg) ~from_buffer =
   Replica_store.apply t.store ~var:m.var ~value:m.value ~dot:m.dot;
   V.tick t.apply_cnt src;
@@ -91,8 +84,9 @@ let receive t ~src m =
     effects ~applied:(first :: drain t ~f) ()
   end
   else begin
+    (* not a duplicate and not deliverable: the sender chain has a gap *)
     Mailbox.add t.buffer (src, m);
-    no_effects
+    waiting ~counter:src ~count:(Dot.seq m.dot - 1)
   end
 
 let buffered t = Mailbox.length t.buffer

@@ -23,7 +23,7 @@ module Make (B : Buffer.S) = struct
     apply_cnt : V.t;  (* the paper's Apply *)
     write_co : V.t;  (* the paper's Write_co *)
     last_write_on : V.t array;  (* the paper's LastWriteOn *)
-    buffer : (int * msg) B.t;  (* (src, message) *)
+    buffer : msg B.t;
   }
 
   let name = "OptP"
@@ -59,49 +59,20 @@ module Make (B : Buffer.S) = struct
       (* last_write_on entries alias message vectors from their send-time
          epoch; they only feed merge_into, which pads implicit zeros, so
          they need no widening. Buffered messages re-evaluate against the
-         new [status] closure automatically. *)
+         wider view: a scan resumes below the new bound. *)
     end
 
   (* Figure 5, line 2, as a wakeup constraint: the first enabling event
-     still missing. The scan bound is the narrower of the local view and
-     the message's send-time view: components beyond a vector's size are
-     implicit zeros and can never block (a process not yet joined had
-     written nothing). *)
-  let status t ((src, m) : int * msg) : Buffer.status =
-    let a_src = V.get0 t.apply_cnt src in
-    let w_src = V.get0 m.wco src in
-    if a_src < w_src - 1 then Wait_for { counter = src; count = w_src - 1 }
-    else if a_src > w_src - 1 then Stuck  (* duplicate: already applied *)
-    else
-      let n = min t.cfg.n (V.size m.wco) in
-      let rec scan k =
-        if k >= n then Buffer.Ready
-        else if k <> src && V.unsafe_get m.wco k > V.unsafe_get t.apply_cnt k
-        then Wait_for { counter = k; count = V.unsafe_get m.wco k }
-        else scan (k + 1)
-      in
-      scan 0
+     still missing *)
+  let status t ~src (m : msg) w =
+    vector_wait ~applied:t.apply_cnt ~wanted:m.wco ~n:t.cfg.n ~src w
 
-  (* Figure 5, line 2: the wait condition *)
   let deliverable t ~src m =
-    match status t (src, m) with
-    | Buffer.Ready -> true
-    | Wait_for _ | Stuck -> false
-
-  (* The wakeup constraint as a write identity: waiting on counter [k]
-     to reach [c] is waiting for the apply of p_k's write number [c] —
-     the dot (k, c). Always among the checker's missing writes for the
-     resulting delay. *)
-  let waiting_for t ~src m =
-    match status t (src, m) with
-    | Buffer.Wait_for { counter; count } ->
-        Some (Dot.make ~replica:counter ~seq:count)
-    | Ready | Stuck -> None
+    status t ~src m { Buffer.resume = 0; counter = 0; count = 0 } = Buffer.Ready
 
   module Step = Protocol.Step (B)
 
-  (* Figure 4: WRITE(x, v). The [status] oracle is hoisted once per
-     entry point (see [Protocol.Step]). *)
+  (* Figure 4: WRITE(x, v) *)
   let write t ~var ~value =
     V.tick t.write_co t.me;
     (* canonical-gen rule: the generation stamp rides the own entry
@@ -115,7 +86,7 @@ module Make (B : Buffer.S) = struct
     Replica_store.apply t.store ~var ~value ~dot;
     V.tick t.apply_cnt t.me;
     if t.my_gen > 0 then V.set_gen t.apply_cnt t.me t.my_gen;
-    B.note_advance t.buffer ~status:(status t) ~counter:t.me
+    B.note_advance t.buffer status t ~counter:t.me
       ~count:(V.unsafe_get t.apply_cnt t.me);
     t.last_write_on.(var) <- wco;
     let applied = [ { adot = dot; avar = var; avalue = value; afrom_buffer = false } ] in
@@ -129,19 +100,20 @@ module Make (B : Buffer.S) = struct
     Replica_store.read t.store ~var
 
   (* Figure 5, lines 3-5 of the synchronization thread *)
-  let apply_msg t ~status ~src m ~from_buffer =
+  let apply_msg t ~src m ~from_buffer =
     Replica_store.apply t.store ~var:m.var ~value:m.value ~dot:m.dot;
     V.tick t.apply_cnt src;
     (* record which occupancy the applied write belongs to *)
     if Dot.gen m.dot > 0 then V.set_gen t.apply_cnt src (Dot.gen m.dot);
-    B.note_advance t.buffer ~status ~counter:src
+    B.note_advance t.buffer status t ~counter:src
       ~count:(V.unsafe_get t.apply_cnt src);
     t.last_write_on.(m.var) <- m.wco;
     { adot = m.dot; avar = m.var; avalue = m.value; afrom_buffer = from_buffer }
 
+  let drained t ~src m = apply_msg t ~src m ~from_buffer:true
+
   let receive t ~src m =
-    let status = status t in
-    Step.receive t.buffer ~status ~apply:(apply_msg t ~status) ~src m
+    Step.receive t.buffer status t ~apply:apply_msg ~drained ~src m
 
   let buffered t = B.length t.buffer
   let buffer_high_watermark t = B.high_watermark t.buffer

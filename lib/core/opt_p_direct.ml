@@ -136,12 +136,13 @@ let deliverable t ~src (m : msg) =
        (fun d -> V.get t.apply_cnt (Dot.replica d) >= Dot.seq d)
        m.deps
 
-(* first missing predecessor: a sender-chain gap names the issuer's
-   previous write, otherwise the first unapplied listed dependency *)
+(* first missing predecessor of a message that must wait: a
+   sender-chain gap names the issuer's previous write, otherwise the
+   first unapplied listed dependency; [None] for a duplicate *)
 let waiting_for t ~src (m : msg) =
   let a_src = V.get t.apply_cnt src in
   let seq = Dot.seq m.dot in
-  if a_src >= seq then None (* duplicate: already applied *)
+  if a_src >= seq then None
   else if a_src < seq - 1 then
     Some (Dot.make ~replica:src ~seq:(seq - 1))
   else
@@ -190,7 +191,7 @@ let receive t ~src m =
   end
   else begin
     Mailbox.add t.buffer (src, m);
-    no_effects
+    { no_effects with waiting_for = waiting_for t ~src m }
   end
 
 let buffered t = Mailbox.length t.buffer

@@ -53,7 +53,7 @@ module Make (B : Buffer.S) = struct
     know : V.t array;  (* per var: last known write index per issuer *)
     last_write_know : V.t array array;
         (* per replicated var: the matrix of the last write applied to it *)
-    buffer : (int * message) B.t;
+    buffer : message B.t;
     my_vars : int list;  (* vars_of me, cached for the hot path *)
     mutable next_global_seq : int;
   }
@@ -102,12 +102,17 @@ module Make (B : Buffer.S) = struct
         (Printf.sprintf "Opt_p_partial.%s: p%d does not replicate x%d" name
            (t.me + 1) (var + 1))
 
-  let status t ((src, msg) : int * message) : Buffer.status =
+  let wait_on t (w : Buffer.wait) ~var ~proc ~count : Buffer.status =
+    w.counter <- counter_of t ~var ~proc;
+    w.count <- count;
+    Wait
+
+  (* the wait scan starts from the first row on every evaluation: it
+     leaves [w.resume] alone *)
+  let status t ~src (msg : message) (w : Buffer.wait) : Buffer.status =
     let a = V.unsafe_get t.applied.(msg.var) src in
     if msg.var_seq > a + 1 then
-      Wait_for
-        { counter = counter_of t ~var:msg.var ~proc:src;
-          count = msg.var_seq - 1 }
+      wait_on t w ~var:msg.var ~proc:src ~count:(msg.var_seq - 1)
     else if msg.var_seq < a + 1 then Stuck  (* duplicate: already applied *)
     else
       (* every row of a location we replicate must be covered; the
@@ -119,10 +124,7 @@ module Make (B : Buffer.S) = struct
         else if
           (not (k = src && y = msg.var))
           && V.unsafe_get msg.know.(y) k > V.unsafe_get t.applied.(y) k
-        then
-          Wait_for
-            { counter = counter_of t ~var:y ~proc:k;
-              count = V.unsafe_get msg.know.(y) k }
+        then wait_on t w ~var:y ~proc:k ~count:(V.unsafe_get msg.know.(y) k)
         else scan_row y (k + 1)
       in
       let rec scan_vars = function
@@ -135,12 +137,10 @@ module Make (B : Buffer.S) = struct
       scan_vars t.my_vars
 
   (* every advance of the applied matrix flows through here so the
-     buffer can wake exactly the subscribed messages; the [status]
-     oracle is hoisted once per entry point (the [Protocol.Step]
-     discipline) and threaded through the cascade *)
-  let tick_applied t ~status ~var ~proc =
+     buffer can wake exactly the subscribed messages *)
+  let tick_applied t ~var ~proc =
     V.tick t.applied.(var) proc;
-    B.note_advance t.buffer ~status
+    B.note_advance t.buffer status t
       ~counter:(counter_of t ~var ~proc)
       ~count:(V.unsafe_get t.applied.(var) proc)
 
@@ -158,7 +158,7 @@ module Make (B : Buffer.S) = struct
     let know = copy_matrix t.know in
     let m = { var; value; dot; var_seq; know } in
     Replica_store.apply t.store ~var ~value ~dot;
-    tick_applied t ~status:(status t) ~var ~proc:t.me;
+    tick_applied t ~var ~proc:t.me;
     t.last_write_know.(var) <- know;
     let dests =
       List.filter (fun p -> p <> t.me) (Replication.replicas_of t.repl ~var)
@@ -177,13 +177,11 @@ module Make (B : Buffer.S) = struct
   (* applicable iff the sender's chain on the written location is
      gap-free here and every row of a location we replicate is covered *)
   let deliverable t ~src (msg : message) =
-    match status t (src, msg) with
-    | Buffer.Ready -> true
-    | Wait_for _ | Stuck -> false
+    status t ~src msg (B.wait t.buffer) = Buffer.Ready
 
-  let apply_msg t ~status ~src (msg : message) ~from_buffer =
+  let apply_msg t ~src (msg : message) ~from_buffer =
     Replica_store.apply t.store ~var:msg.var ~value:msg.value ~dot:msg.dot;
-    tick_applied t ~status ~var:msg.var ~proc:src;
+    tick_applied t ~var:msg.var ~proc:src;
     (* the message matrix is immutable once on the wire: alias it
        instead of copying m vectors per apply *)
     t.last_write_know.(msg.var) <- msg.know;
@@ -194,23 +192,15 @@ module Make (B : Buffer.S) = struct
       afrom_buffer = from_buffer;
     }
 
-  let drain t ~status =
-    let rec go acc =
-      match B.take_ready t.buffer ~status with
-      | Some (src, m) -> go (apply_msg t ~status ~src m ~from_buffer:true :: acc)
-      | None -> List.rev acc
-    in
-    go []
+  let drained t ~src msg = apply_msg t ~src msg ~from_buffer:true
 
   let receive t ~src msg =
-    let status = status t in
-    let x = (src, msg) in
-    match status x with
+    match status t ~src msg (B.wait t.buffer) with
     | Buffer.Ready ->
-        let first = apply_msg t ~status ~src msg ~from_buffer:false in
-        first :: drain t ~status
-    | (Wait_for _ | Stuck) as s ->
-        B.add t.buffer s x;
+        let first = apply_msg t ~src msg ~from_buffer:false in
+        first :: B.drain t.buffer status t ~apply:drained
+    | (Wait | Stuck) as s ->
+        B.add t.buffer s ~src msg;
         []
 
   let buffered t = B.length t.buffer

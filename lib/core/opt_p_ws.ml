@@ -31,7 +31,7 @@ module Make (B : Buffer.S) = struct
     apply_cnt : V.t;
     write_co : V.t;
     last_write_on : V.t array;
-    buffer : (int * msg) B.t;
+    buffer : msg B.t;
     mutable overwritten : Dot.Set.t;
     seen : (Dot.t, int * V.t) Hashtbl.t;  (* var and Write_co of writes seen *)
     mutable skipped_total : int;
@@ -115,53 +115,29 @@ module Make (B : Buffer.S) = struct
     V.merge_into t.write_co t.last_write_on.(var);
     Replica_store.read t.store ~var
 
-  (* OptP's wait condition as a wakeup constraint; the scan bound is the
-     narrower of the local view and the message's send-time view —
-     components beyond a vector's size are implicit zeros *)
-  let status t ((src, m) : int * msg) : Buffer.status =
-    let a_src = V.get0 t.apply_cnt src in
-    let w_src = V.get0 m.wco src in
-    if a_src < w_src - 1 then Wait_for { counter = src; count = w_src - 1 }
-    else if a_src > w_src - 1 then Stuck  (* duplicate or skipped-over *)
-    else
-      let n = min t.cfg.n (V.size m.wco) in
-      let rec scan k =
-        if k >= n then Buffer.Ready
-        else if k <> src && V.unsafe_get m.wco k > V.unsafe_get t.apply_cnt k
-        then Wait_for { counter = k; count = V.unsafe_get m.wco k }
-        else scan (k + 1)
-      in
-      scan 0
+  (* OptP's wait condition as a wakeup constraint *)
+  let status t ~src (m : msg) w =
+    vector_wait ~applied:t.apply_cnt ~wanted:m.wco ~n:t.cfg.n ~src w
 
-  let deliverable t ~src (m : msg) =
-    match status t (src, m) with
-    | Buffer.Ready -> true
-    | Wait_for _ | Stuck -> false
-
-  let waiting_for t ~src (m : msg) =
-    if Dot.Set.mem m.dot t.overwritten then None
-    else
-      match status t (src, m) with
-      | Buffer.Wait_for { counter; count } ->
-          Some (Dot.make ~replica:counter ~seq:count)
-      | Ready | Stuck -> None
+  let deliverable t ~src m =
+    status t ~src m { Buffer.resume = 0; counter = 0; count = 0 } = Buffer.Ready
 
   (* every advance of Apply — by an apply or by a skip — flows through
-     here so the buffer can wake exactly the subscribed messages; the
-     [status] oracle is hoisted once per entry point (the
-     [Protocol.Step] discipline) and threaded through the cascade *)
-  let tick_apply t ~status k =
+     here so the buffer can wake exactly the subscribed messages *)
+  let tick_apply t k =
     V.tick t.apply_cnt k;
-    B.note_advance t.buffer ~status ~counter:k
+    B.note_advance t.buffer status t ~counter:k
       ~count:(V.unsafe_get t.apply_cnt k)
 
-  let apply_msg t ~status ~src (m : msg) ~from_buffer =
+  let apply_msg t ~src (m : msg) ~from_buffer =
     Replica_store.apply t.store ~var:m.var ~value:m.value ~dot:m.dot;
-    tick_apply t ~status src;
+    tick_apply t src;
     if Dot.gen m.dot > 0 then V.set_gen t.apply_cnt src (Dot.gen m.dot);
     t.last_write_on.(m.var) <- m.wco;
     Hashtbl.replace t.seen m.dot (m.var, m.wco);
     { adot = m.dot; avar = m.var; avalue = m.value; afrom_buffer = from_buffer }
+
+  let drained t ~src m = apply_msg t ~src m ~from_buffer:true
 
   let deliverable_after_skip t ~src (m : msg) d =
     let bump k = V.get0 t.apply_cnt k + if k = Dot.replica d then 1 else 0 in
@@ -171,7 +147,7 @@ module Make (B : Buffer.S) = struct
     done;
     !ok
 
-  let try_skip t ~status =
+  let try_skip t =
     let candidate =
       List.find_map
         (fun (src, (m : msg)) ->
@@ -196,15 +172,15 @@ module Make (B : Buffer.S) = struct
         ignore
           (B.remove_all t.buffer ~f:(fun (_, (b : msg)) ->
                Dot.equal b.dot m.dot));
-        tick_apply t ~status (Dot.replica d);
-        Some (apply_msg t ~status ~src m ~from_buffer:true, d)
+        tick_apply t (Dot.replica d);
+        Some (apply_msg t ~src m ~from_buffer:true, d)
 
 
   (* The incoming message itself may trigger a skip at receipt time: its
      named predecessor is the issuer's next undelivered write and skipping
      it makes the message deliverable at once. In that case the write
      never waits, so its apply is NOT a write delay (Definition 3). *)
-  let skip_for_incoming t ~status ~src (m : msg) =
+  let skip_for_incoming t ~src (m : msg) =
     match m.prev with
     | Some d
       when m.can_skip
@@ -216,52 +192,47 @@ module Make (B : Buffer.S) = struct
         ignore
           (B.remove_all t.buffer ~f:(fun (_, (b : msg)) ->
                Dot.equal b.dot d));
-        tick_apply t ~status (Dot.replica d);
-        Some (apply_msg t ~status ~src m ~from_buffer:false, d)
+        tick_apply t (Dot.replica d);
+        Some (apply_msg t ~src m ~from_buffer:false, d)
     | Some _ | None -> None
 
-  let drain t ~status =
-    let applied = ref [] and skipped = ref [] in
+  let drain t =
     let rec loop () =
-      match B.take_ready t.buffer ~status with
-      | Some (src, m) ->
-          applied := apply_msg t ~status ~src m ~from_buffer:true :: !applied;
-          loop ()
-      | None -> (
-          match try_skip t ~status with
-          | Some (record, d) ->
-              applied := record :: !applied;
-              skipped := d :: !skipped;
-              loop ()
-          | None -> ())
+      let applied = B.drain t.buffer status t ~apply:drained in
+      match try_skip t with
+      | Some (record, d) ->
+          let applied', skipped = loop () in
+          (applied @ (record :: applied'), d :: skipped)
+      | None -> (applied, [])
     in
-    loop ();
-    (List.rev !applied, List.rev !skipped)
+    loop ()
 
   let receive t ~src m =
-    let status = status t in
     if Dot.Set.mem m.dot t.overwritten then
       (* already logically applied by a skip: discard the late message *)
       no_effects
     else
-      let x = (src, m) in
-      match status x with
+      let w = B.wait t.buffer in
+      w.resume <- 0;
+      match status t ~src m w with
       | Buffer.Ready ->
-          let first = apply_msg t ~status ~src m ~from_buffer:false in
-          let applied, skipped = drain t ~status in
+          let first = apply_msg t ~src m ~from_buffer:false in
+          let applied, skipped = drain t in
           effects ~applied:(first :: applied) ~skipped ()
-      | (Wait_for _ | Stuck) as s -> (
-          match skip_for_incoming t ~status ~src m with
+      | (Wait | Stuck) as s -> (
+          match skip_for_incoming t ~src m with
           | Some (first, d) ->
-              let applied, skipped = drain t ~status in
+              let applied, skipped = drain t in
               effects ~applied:(first :: applied) ~skipped:(d :: skipped) ()
-          | None ->
-              (* a refused skip changed nothing, so [s] still holds; a
-                 buffered message changes no delivery state, so no
-                 other buffered message can have become ready: no drain
-                 needed *)
-              B.add t.buffer s x;
-              no_effects)
+          | None -> (
+              (* a refused skip changed nothing, so [s] and [w] still
+                 hold; a buffered message changes no delivery state, so
+                 no other buffered message can have become ready: no
+                 drain needed *)
+              B.add t.buffer s ~src m;
+              match s with
+              | Wait -> waiting ~counter:w.counter ~count:w.count
+              | Ready | Stuck -> no_effects))
 
   let buffered t = B.length t.buffer
   let buffer_high_watermark t = B.high_watermark t.buffer

@@ -18,19 +18,24 @@ type 'msg effects = {
   applied : apply_record list;
   skipped : Dsm_vclock.Dot.t list;
   to_send : 'msg outbound list;
+  waiting_for : Dsm_vclock.Dot.t option;
 }
 
-let no_effects = { applied = []; skipped = []; to_send = [] }
+let no_effects = { applied = []; skipped = []; to_send = []; waiting_for = None }
 
-let effects ?(applied = []) ?(skipped = []) ?(to_send = []) () =
-  { applied; skipped; to_send }
+let effects ?(applied = []) ?(skipped = []) ?(to_send = []) ?waiting_for () =
+  { applied; skipped; to_send; waiting_for }
 
 let merge_effects a b =
   {
     applied = a.applied @ b.applied;
     skipped = a.skipped @ b.skipped;
     to_send = a.to_send @ b.to_send;
+    waiting_for = (if b.waiting_for = None then a.waiting_for else b.waiting_for);
   }
+
+let waiting ~counter ~count =
+  { no_effects with waiting_for = Some (Dsm_vclock.Dot.make ~replica:counter ~seq:count) }
 
 module type S = sig
   type t
@@ -46,7 +51,6 @@ module type S = sig
   val write : t -> var:int -> value:int -> Dsm_vclock.Dot.t * msg effects
   val read : t -> var:int -> Dsm_memory.Operation.value * Dsm_vclock.Dot.t option
   val receive : t -> src:int -> msg -> msg effects
-  val waiting_for : t -> src:int -> msg -> Dsm_vclock.Dot.t option
   val buffered : t -> int
   val buffer_high_watermark : t -> int
   val total_buffered : t -> int
@@ -71,41 +75,50 @@ module Snapshot = struct
       invalid_arg (proto ^ ".restore: snapshot from a different process")
 end
 
-(* Shared receive/drain skeletons over a delivery buffer.
+module Buffer = Dsm_sim.Delivery_buffer
+module V = Dsm_vclock.Vector_clock
 
-   Every buffer operation takes the wakeup oracle as a [~status]
-   closure; building that closure per operation ([status t] is a
-   partial application) used to be the dominant steady-state allocation
-   of a receive cascade. The skeletons instead thread ONE hoisted
-   closure through the whole cascade — the closure reads the protocol
-   state through its captured [t], so it stays correct as applies
-   advance the counters. The status check on the incoming message
-   also routes it: a message that must wait is added with the status
-   just computed, which the buffer counts as its routing call, so the
-   oracle-call count (one per [take_ready] candidate, one per add) and
-   every pinned wakeup-scan metric are unchanged. *)
+(* the first component [k' >= k] below [n] that [wanted] still needs,
+   as the wait (a top-level function: a local one would allocate its
+   closure on every evaluation) *)
+let rec scan ~applied ~wanted ~src (w : Buffer.wait) ~n k : Buffer.status =
+  if k >= n then begin
+    w.resume <- n;
+    Ready
+  end
+  else if k <> src && V.unsafe_get wanted k > V.unsafe_get applied k then begin
+    w.resume <- k;
+    w.counter <- k;
+    w.count <- V.unsafe_get wanted k;
+    Wait
+  end
+  else scan ~applied ~wanted ~src w ~n (k + 1)
+
+let vector_wait ~applied ~wanted ~n ~src (w : Buffer.wait) : Buffer.status =
+  let a_src = V.get0 applied src and w_src = V.get0 wanted src in
+  if a_src < w_src - 1 then begin
+    w.counter <- src;
+    w.count <- w_src - 1;
+    Wait
+  end
+  else if a_src > w_src - 1 then Stuck
+  else scan ~applied ~wanted ~src w ~n:(min n (V.size wanted)) w.resume
+
+(* the status check on the incoming message also routes it: a message
+   that must wait is added with the status just computed *)
 module Step (B : Dsm_sim.Delivery_buffer.S) = struct
-  let drain buffer ~status ~apply =
-    (* apply inside the loop: each apply can enable further buffered
-       messages (chained unblocking); [note_advance] under [apply]
-       re-checks exactly the messages subscribed to the advanced
-       counter, so only genuinely enabled messages are re-examined *)
-    let rec go acc =
-      match B.take_ready buffer ~status with
-      | Some (src, m) -> go (apply ~src m ~from_buffer:true :: acc)
-      | None -> List.rev acc
-    in
-    go []
-
-  let receive buffer ~status ~apply ~src m =
-    let x = (src, m) in
-    match status x with
-    | Dsm_sim.Delivery_buffer.Ready ->
-        let first = apply ~src m ~from_buffer:false in
-        effects ~applied:(first :: drain buffer ~status ~apply) ()
-    | (Wait_for _ | Stuck) as s ->
-        B.add buffer s x;
-        no_effects
+  let receive buffer status s ~apply ~drained ~src m =
+    let w = B.wait buffer in
+    w.resume <- 0;
+    match status s ~src m w with
+    | Buffer.Ready ->
+        (* apply first: each apply can enable buffered messages *)
+        let first = apply s ~src m ~from_buffer:false in
+        { no_effects with applied = first :: B.drain buffer status s ~apply:drained }
+    | (Wait | Stuck) as status ->
+        B.add buffer status ~src m;
+        if status = Wait then waiting ~counter:w.counter ~count:w.count
+        else no_effects
 end
 
 type packed = Packed : (module S with type t = 't and type msg = 'm) -> packed

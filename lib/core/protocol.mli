@@ -46,6 +46,14 @@ type 'msg effects = {
           semantics protocols produce these; non-empty values certify
           the protocol is outside the class [𝒫] *)
   to_send : 'msg outbound list;
+  waiting_for : Dsm_vclock.Dot.t option;
+      (** delay provenance: when the receive left its message buffered,
+          the {e wakeup constraint} as a dot — the causal predecessor
+          whose apply the buffer waits on; by construction one of the
+          missing writes the checker lists for the resulting delay
+          (Definition 3). [None] when the message was applied, skipped
+          or discarded as a duplicate, and when the protocol cannot
+          name a single write (round-based batching). *)
 }
 
 val no_effects : 'msg effects
@@ -53,11 +61,18 @@ val effects :
   ?applied:apply_record list ->
   ?skipped:Dsm_vclock.Dot.t list ->
   ?to_send:'msg outbound list ->
+  ?waiting_for:Dsm_vclock.Dot.t ->
   unit ->
   'msg effects
 
+val waiting : counter:int -> count:int -> 'msg effects
+(** The effects of a receive that buffered its message until process
+    [counter]'s write number [count] applies: nothing but that
+    [waiting_for] dot. *)
+
 val merge_effects : 'msg effects -> 'msg effects -> 'msg effects
-(** Concatenates in order (first argument's effects first). *)
+(** Concatenates in order (first argument's effects first); the second
+    argument's [waiting_for] wins when it has one. *)
 
 module type S = sig
   type t
@@ -123,17 +138,8 @@ module type S = sig
       the write that produced it ([None] for the initial ⊥). *)
 
   val receive : t -> src:int -> msg -> msg effects
-  (** Handle one delivered message. *)
-
-  val waiting_for : t -> src:int -> msg -> Dsm_vclock.Dot.t option
-  (** Delay provenance: when [receive t ~src msg] would buffer [msg]
-      (and for as long as it stays buffered), the {e wakeup
-      constraint} as a dot — the causal predecessor whose apply the
-      buffer is waiting on; by construction it is one of the missing
-      writes the checker lists for the resulting delay (Definition 3).
-      [None] when the message is deliverable, a duplicate, or when the
-      protocol cannot name a single write (round-based batching).
-      Read-only: never mutates [t]. *)
+  (** Handle one delivered message. A message left buffered names its
+      wakeup constraint in the effects' [waiting_for]. *)
 
   val buffered : t -> int
   (** Messages currently delayed at this process. *)
@@ -194,38 +200,44 @@ module type S = sig
       process or under a different configuration. *)
 end
 
-(** Shared receive/drain skeletons over a delivery buffer.
+val vector_wait :
+  applied:Dsm_vclock.Vector_clock.t ->
+  wanted:Dsm_vclock.Vector_clock.t ->
+  n:int ->
+  src:int ->
+  Dsm_sim.Delivery_buffer.wait ->
+  Dsm_sim.Delivery_buffer.status
+(** Figure 5, line 2, as a delivery-buffer oracle for a write from
+    [src] carrying [wanted] (OptP's [Write_co], ANBKH's vector time):
+    [Wait] on the sender gap, [Stuck] for a duplicate, else the first
+    [k ≠ src] below [n] and [wanted]'s size with [wanted[k] > applied[k]],
+    scanned from [w.resume], where the scan leaves its stopping point.
+    [applied] only grows between restores, so the components below are
+    still covered: resuming finds what a scan from 0 would. *)
 
-    The hot-path discipline for protocols built on
-    {!Dsm_sim.Delivery_buffer}: hoist the wakeup-oracle closure
-    ([status t]) {e once} per entry point and thread it through the
-    whole receive cascade, instead of rebuilding the partial
-    application at every buffer operation — the dominant steady-state
-    allocation of the seed protocols. The oracle-call count (and so
-    every pinned wakeup-scan metric) is identical to the seed shape,
-    in which the buffer evaluated a buffered message's status again
-    on [add]. *)
+(** Shared receive skeleton over a delivery buffer. The wait oracle and
+    the apply functions are the protocol's own top-level functions,
+    passed with the state they read, so a receive cascade builds no
+    closure. The one oracle evaluation of the incoming message decides
+    whether it applies, is buffered and why, and routes it; the
+    oracle-call count (every pinned wakeup-scan metric) is the seed's,
+    where the buffer evaluated a buffered message again on [add]. *)
 module Step (B : Dsm_sim.Delivery_buffer.S) : sig
-  val drain :
-    (int * 'm) B.t ->
-    status:(int * 'm -> Dsm_sim.Delivery_buffer.status) ->
-    apply:(src:int -> 'm -> from_buffer:bool -> apply_record) ->
-    apply_record list
-  (** Repeatedly [take_ready] and apply until the buffer yields no
-      ready message; returns the apply records in apply order. *)
-
   val receive :
-    (int * 'm) B.t ->
-    status:(int * 'm -> Dsm_sim.Delivery_buffer.status) ->
-    apply:(src:int -> 'm -> from_buffer:bool -> apply_record) ->
+    'm B.t ->
+    ('s, 'm) Dsm_sim.Delivery_buffer.oracle ->
+    's ->
+    apply:('s -> src:int -> 'm -> from_buffer:bool -> apply_record) ->
+    drained:('s -> src:int -> 'm -> apply_record) ->
     src:int ->
     'm ->
     'm effects
   (** The canonical receipt shape (OptP Figure 5 / causal broadcast):
-      apply-then-drain when the incoming message is [Ready], buffer it
-      otherwise. The one [status] evaluation of the incoming message
-      decides both: a message that must wait is added with that status
-      ({!Dsm_sim.Delivery_buffer.S.add}), not evaluated again. *)
+      when the incoming message is [Ready], [apply] it and then drain
+      the buffer through [drained] (the apply of a buffered message);
+      otherwise buffer it ({!Dsm_sim.Delivery_buffer.S.add}) and, when
+      it waits on a counter [k] reaching [c], report the dot [(k, c)]
+      as its [waiting_for]. *)
 end
 
 (** Existential wrapper so heterogeneous protocols can be listed in
@@ -235,9 +247,8 @@ type packed = Packed : (module S with type t = 't and type msg = 'm) -> packed
 (** Shared snapshot plumbing for implementations of {!S}.
 
     Every protocol state in the repository is closure-free plain data
-    (vectors are int arrays, buffers are hashtables and lists; the
-    delivery-buffer [status] closures are passed per-call, never
-    stored), so the durable image is a [Marshal] round-trip — which is
+    (vectors are int arrays, buffers are records, arrays and lists; the
+    delivery-buffer oracles are passed per call, never stored), so the durable image is a [Marshal] round-trip — which is
     also a deep copy, giving {!S.snapshot} its no-sharing guarantee.
     [decode] must only be applied to a string produced by [encode] at
     the same state type; the protocols guard the public entry point by

@@ -103,33 +103,12 @@ let write t ~var ~value =
 
 let read t ~var = Replica_store.read t.store ~var
 
-let deliverable t ~src (m : msg) =
-  let ok = ref (V.get0 t.delivered src = V.get0 m.vt src - 1) in
-  for k = 0 to min t.cfg.n (V.size m.vt) - 1 do
-    if k <> src && V.get m.vt k > V.get t.delivered k then ok := false
-  done;
-  !ok
+(* the causal-broadcast wait condition, scanned from component 0 *)
+let status t ~src (m : msg) =
+  let w = { Dsm_sim.Delivery_buffer.resume = 0; counter = 0; count = 0 } in
+  (vector_wait ~applied:t.delivered ~wanted:m.vt ~n:t.cfg.n ~src w, w)
 
-(* first missing predecessor of the causal-broadcast wait condition;
-   [None] for duplicates, skip-discarded writes, and deliverable
-   messages *)
-let waiting_for t ~src (m : msg) =
-  if Dot.Set.mem m.dot t.overwritten then None
-  else
-    let d_src = V.get0 t.delivered src in
-    let v_src = V.get0 m.vt src in
-    if d_src > v_src - 1 then None (* duplicate *)
-    else if d_src < v_src - 1 then
-      Some (Dot.make ~replica:src ~seq:(v_src - 1))
-    else
-      let bound = min t.cfg.n (V.size m.vt) in
-      let rec scan k =
-        if k >= bound then None
-        else if k <> src && V.get m.vt k > V.get t.delivered k then
-          Some (Dot.make ~replica:k ~seq:(V.get m.vt k))
-        else scan (k + 1)
-      in
-      scan 0
+let deliverable t ~src m = fst (status t ~src m) = Ready
 
 let apply_msg t ~src (m : msg) ~from_buffer =
   Replica_store.apply t.store ~var:m.var ~value:m.value ~dot:m.dot;
@@ -246,7 +225,9 @@ let receive t ~src m =
         (* a buffered message changes no delivery state, so no other
            buffered message can have become ready: no drain needed *)
         Mailbox.add t.buffer (src, m);
-        no_effects
+        match status t ~src m with
+        | Wait, w -> waiting ~counter:w.counter ~count:w.count
+        | (Ready | Stuck), _ -> no_effects
 
 let buffered t = Mailbox.length t.buffer
 let buffer_high_watermark t = Mailbox.high_watermark t.buffer

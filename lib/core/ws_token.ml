@@ -301,10 +301,6 @@ let receive t ~src m =
       end
       else no_effects
 
-(* round-based ordering: an out-of-round batch waits for a whole token
-   round, not for one nameable write — no dot-level provenance here *)
-let waiting_for _t ~src:_ _m = None
-
 let buffered t = Mailbox.length t.batch_buffer
 let buffer_high_watermark t = Mailbox.high_watermark t.batch_buffer
 let total_buffered t = Mailbox.total_buffered t.batch_buffer

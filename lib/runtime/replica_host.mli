@@ -79,10 +79,11 @@ val receive :
   unit
 (** [receive p ~record ~transmit proc t ~src msg] delivers [msg] to
     [t]: one [Receipt] per carried write, the protocol's receive, a
-    [Blocked] per carried write (naming
-    {!Dsm_core.Protocol.S.waiting_for}) when none applied or skipped,
-    then {!step} on the effects. Duplicates are recorded as receipts;
-    only the durable host drops covered echoes. *)
+    [Blocked] per carried write when the receive buffered the message
+    (naming the [waiting_for] dot of its effects), then {!step} on the
+    effects. No delivery status is evaluated after the receive.
+    Duplicates are recorded as receipts; only the durable host drops
+    covered echoes. *)
 
 val drain : Dsm_sim.Engine.t -> max_steps:int -> string -> unit
 (** Run the engine to quiescence.

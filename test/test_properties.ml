@@ -528,13 +528,11 @@ module Fifo_only : Dsm_core.Protocol.S = struct
     end
     else begin
       Mailbox.add t.buffer (src, m);
-      no_effects
+      (* a duplicate waits for nothing; a gap for the previous write *)
+      let seq = Dot.seq m.dot in
+      if seq <= V.get t.applied src then no_effects
+      else effects ~waiting_for:(Dot.make ~replica:src ~seq:(seq - 1)) ()
     end
-
-  let waiting_for t ~src (m : msg) =
-    let seq = Dot.seq m.dot and a = V.get t.applied src in
-    if seq <= a + 1 then None (* deliverable or duplicate *)
-    else Some (Dot.make ~replica:src ~seq:(seq - 1))
 
   let buffered t = Mailbox.length t.buffer
   let buffer_high_watermark t = Mailbox.high_watermark t.buffer
