@@ -508,102 +508,102 @@ let golden_digests =
   [
     ( "OptP",
       {|
-      949bb7752951d673 676606d8202aaddf 3c56012352a9894e a1298822682522d6
-      8f3bb102b3f06419 d5e4fb2fd4cf48c7 9c2c3be6428c4395 983e740e02252e7a
-      48cc49e2b35390ee 8ea869b4e79c1eb9 f98c554a6baf411d f326196e686e35f9
-      733b67988fb3fe18 f844b052369aa18e 8af46532a67b2e40 a88749da0e7f5fe7
-      01f1fbab2dd566d1 a871b8384fbeb43f 523c5df27590f69d f88f31c722d8e763
-      a16e9976fd67cef9 b8beed19ea948e58 eb554c6509da1d22 c560ff62adf58bf4
-      3f59b89f44e7676d e7dfeed3446c2cdc 2f9097d8ee7f3ab6 7574654cf74f1ca0
-      b0a97e26ac76a213 0aba099d02561767 92111ac765b67b14 c755c55d6abfbfca
-      677551a942f21ad2 4f07494046e38f83 729f6e71517c88a4 3be46d7622b85d89
-      449557df5372767a fabd2dfd2eb105be 06303a94a75122e0 084f07ec42d16835
-      caa6d4a99d92c320 fe061acabd643635 e5c3648cebbef691 4c0aab3ed6b16969
-      989af1acfa1f7120 0ada0cc0cb4e950d 24119aaf0aea8c94 8efe37160b606812
-      f19fab607602866c 64c28f48015367e8 9be56f1f28e9331f b92a2b4f80740694
-      8a8ef11adcaab8a2 b9f0d6aabb09eab4 0bc288ee106cd436 3b7619c5c57a872e
-      467d025e16c07697 f565cbdf1569a2f9 ed4a15a896850d41 2c40edf32c23c3b8
-      75c807a328ed1cd4 b8dbfe5c2643db9f d5a42bd6ed7a965b b9bf207ee9c60019
-      504c5247ec4924c4 97cf83de21f3c34b e67968414057a935 2e4c2fab223f56cf
-      ae50f7185c825725 a9e516e995ee9b31 ba014471f38958e9 939d53c08e69e3ce
-      d8c4850140767ff9 ce3041e244e4344f 7cab0401ea13c39c ec4e4c491d90d4e8
-      8e73fe3f2f197e8e c2bb8643ea9596cf a8ab21ba59694e0f 66da287cc3a170ef
-      f3821096047bb2d1 abe5100d692f153c e0fc58d329eaa37b e92c8b6409f73cd0
-      224e9a487f5d7531 f4a0277175282a49 1ae9fc893ce2be66 ba2200a0703906db
-      8beabb83c464a7f5 265154e74f358cd9 04554af44c7395b9 14d47402d4e18e8f
-      d74a075028c55ff1 947a07e9457aabc9 0a8fe399e402d255 7ca2a6d5e459dfa3
-      63e59b8c8d9992b5 70207ea463f6cbaa f22014182b61e5af b223dcd173fe46ee
-      ba155437a4186637 af8fa63081f3a414 3fbfa641baca2e15 739d9e8aa27ee314
-      db18c55d04809253 f40de32aa8b70a53 b4e48658664cd57b f0e4a401e1cb306c
-      c767629d352f213f b067f48122437781 2b418d108f54f7c5 df7b3abf0aba46b5
-      1ebef6c80fa5c462 6769f90ef3bf94bd 7f126ca71549fdab d619ae840b068a24
-      0878249a02b29a0a 7144dd72ac727681 10f116b5a3a389d0 203a816ea1a76aa6
+      bbaa7846520f0ab2 6221f3b41b18c8e3 8cff20457f9c76ac f18443ced4fca22d
+      6443ad70c9daa307 f3e5a038f52a4226 de26f9285faaabd1 06b1977690a7de3f
+      d33c82a2ca42b1bc 6ff98b77f13ece00 e4c4691da7d4b59b a675671b950c4ae7
+      1a278963a4bf753b c5d342b0259e9199 728580a66cce294a 0ba8b36afb39270e
+      c40c9c6a93fa57b1 a3301fded002b2dd fbde2a226a13f848 b1112ba708b6a626
+      6386a4895da3f97f 940de744c4c89a09 97e6569857ce307f 21907c6cd9e6c9cb
+      6b5b0610681e4abc 2e2078db3408b34a bf95d09b14a6580d 3694a6a591079310
+      0d5fb36c89457466 851074bbecc17f67 95699cb31bbb4afa 605239e535f0019b
+      4ee34cd7aaf5aca5 b98c1882562783e8 332ca36f6e27424e 56909acaed0c62e5
+      25ff25c1ee06d5d4 f53c86173d46442f 83f3f8e96d8155eb be9618ecf22ff8ee
+      1aeff71e6502d3ed 99b97c7b85097eac 7be6b4a4324c1bbc a556b7671d774863
+      fd6e228dfa3a9843 6a17b6d395b1cdfc 19963a6186005a06 cf90ed5c4f461455
+      7d672034ad692343 05aa6b87f62ffb1a 4189ed4a87d75ee3 a27e29a20be8b1c9
+      6c1224598a4e5626 0eabfa41df04f99e 2a8f77a620cc4ba2 72fd16be2ae29f93
+      26fb72723a243d18 0f4e116c81bc0407 1f84394e00e662ba 1064eba29de34b40
+      2855555002e94dd3 e4e24c6d3c44dcac 7113f32e7b8ffc18 f30d9ab4e729c7e0
+      ed3316cb7f09d6b5 2162c6c25dae04e6 f343ed176f054d46 c0f0e031c29b6f8b
+      99dd9a3c6cc573db 1caaca85a8646bcf 08435a689c66aa15 4daccd7d2f4628e9
+      c29c79de37adeab4 09c7b6c6646abb56 7641e088411ae246 8987ea87ffb28e14
+      cb4e9fcd098f6dcf edf1614d3aeeec53 8373cb799fe2c99c a66772dbb6bc2dce
+      8dcdc7279af02935 0def08d478835dd5 541d08066c3ef607 94f913cf83430265
+      bfa074f703094d50 918961eb14903677 4df22e4550ed1be0 a088d8bf5921933c
+      da7b4ad5aa1048d8 d6af340854057c99 6427a1397bbfa677 faf852fcef0ad437
+      42518a52a72ad62f 5dffb0bb675a263d 4b974f043b22634d f98774f45a83a266
+      36c7f6f2a35eb102 3b0d1eb6402dc972 737ab37534c26486 10f3e1c609b66272
+      5240b7566087b7db 101b8e593d08fa42 6d17d9aa1f3bcaad 373d6da3c4d7dadd
+      9f8a92ef98ea3f40 521c00ba2b700149 787e9734f630b381 d911ef776d1e984f
+      2066c7893d4b321c 1b185f7acb90964e 8bc02f1740a371b1 9a276dfa2e284a4f
+      e355a6fb0c110e85 31de8a648e28bb9a 59b4305fc51343d8 d8a53cd1aa14204d
+      820321346cebbfc4 9f339d66079cea89 6036c84ac98f559e 47316b75b8c39ad7
       |} );
     ( "ANBKH",
       {|
-      26ee970c0265707e 1beb1806a41b57c1 5676a4e3c5a29591 82055104f8c01933
-      9dcf341885d92d67 824ff7726135271b 329b384d50ff5a52 ed63da3772a70162
-      d2353ba8e8407b6e faa01813e8dcb6ad 30589a9193293bd5 7e9137bd9385d331
-      c73285f384e3953a 6bfe7565b4a120e5 924c8a72229f3652 3918aea2315fd0cc
-      77e6f2f9ed0936f9 e0867b2a999cbc12 31044f73c7cc11a2 e8a2c45bc750dee8
-      bcc61aa3e72f0b64 c62ff41146a343f1 7fcf641c07dc680d 4fbab15c2e681e01
-      5e95e36f642bade6 ac53bac2c8e38b70 b5d12b5adaf9a48e 3b70eb1b24d8cf8e
-      866fc28ac1530cd6 19f80252b81c93a0 913d10884e76d29e fc7ad3c696c16890
-      eac06aaf10c2db3e 8a8a0a0dceb4ea77 ca45b7222310e749 73c29b5422b3ae57
-      288ed02e45cd4c81 e8c2709f47f719e5 2a09ae149de5b434 1b770d7ebd55aaf1
-      3cb1d481102a6ff8 a672f1b2ba505ef3 30d11e3ef580166f ea25ed31c44d083d
-      ca34ad2405b6b847 3d831dd19bfef647 75b577698aeae6cb 98ea924d819abc38
-      592a2d78eed661cc a4da70871fed29f4 4efb3c9b7c9a5489 9b4c068e76ce2ed8
-      25c4966854af5de3 4f20b74cb2007461 34e7b9f6f511b606 1b9c4902c6478aed
-      74a2cdbe9898b443 61b12b7329fc642f d85685d86bd404e1 347d765ac2b8a195
-      8a7543d2664fb9d6 392de67d7cf4637b f5185a83c04d38cb 4c483b33ad6ad7a5
-      25bd75598d546ebf 7fa31aa1726b5474 927335db86764e03 046022a4172c2b86
-      cd7191638787d114 0b4d49726ff3ac8e 59228ea8db936786 af1d45759f8e6d02
-      ec8bb884291367f3 e8169ef75300505e 50ca1dc41057f6ac 903715cffbbd3f19
-      990f103477ee1f9a e088de2cba153eac 33ff65dd3a5ca504 78517b99a17d9cf2
-      a4d05671d9d344fe 5c8a84322ebe3cf7 8ba5e784f6b0d3d8 178e4aa11fc8fbb7
-      218443e2f6c02c1b e64606c688ff39f7 174ae3e681cad39f fc7e0d3c7702805f
-      35104eee99fbb7f5 050d03ef9c3ec8f8 baa9b7c43d2101a0 38e2fefb0e870465
-      4a0eba3ac9208249 11633847b84aa04c ed0429f70f23e1aa e94bff6a9b03465c
-      224fb8d824230af6 26eca5a5804c89c2 a2aa66b4d6582ede 7cd77c551eb745dc
-      5e2f5a2f32554b7f 1e01b615c8dba974 205cb19179cfcd0e 6661a067a826cca8
-      929939b28c83fbf0 f75430ef93fe24bb 793240946d9256f1 5e1d1f5f8e23cfb4
-      df7d05b5ff97ce11 b09103f34babd09b 9a600bf56f40f6f4 2321cddd0f9017b5
-      df22b43e004257ee 1b6c06646ceddb9a 730a72d36fa1a531 343eb3a36abbcb4b
-      7343e2aff380092a 120f6514c67fc058 c06ded5287053496 681e957ba08d681f
+      12a7e17b223a3817 cd447e95875e4214 ef7384a1b2e19a14 4d9cd6dfdf9c81c7
+      badae209f79d83fc 143c4088f013392e 366323969fedc5ec 606ae10536f8f1a1
+      392c2fc951698388 deb1849a1fccb492 ed8ae3be1207c7c3 224e9491b5aaa668
+      d95e18ae9dc4db64 d017066f676e03c3 b33d2516f18ab46b 302099e43eeb5b53
+      a8572e54cdca487f 922dce61f61a311f f782850313feb0a7 9e3aabf101bb4877
+      d19e5842b694c1e4 ba76729ffe1c246a cdcbef3de005aa6a e5acef1e424e8c72
+      e0bafa8ed60fbb24 1c74be5c63a22354 0d655a54c7234e36 61ce07654931b9a3
+      a72264bee8f0b120 4ca047d47c99aaa5 99ce589880b85ad7 43087aa570a23b2a
+      86d636258f270661 108c73de889e805d 46b869f43c9d8ca8 440cf7eefe893d4c
+      fe45e5c238292031 0f8dbb80f390a380 126368bb73ff62a1 f1c6266ea9a11d09
+      a8f87749d4094ba3 bdcb7f88a38a327d 4f8bcb6522701e08 f0467a80bc1d20df
+      eb8caf4fef85fd2c df281556e76458ce fd6254bf70f50547 6533db8950b06d97
+      458065905f660f19 fcdffdb522470dad 37ccbabca8ff77da 1771fdd0a0835a13
+      a53c5d2d3b6d6ae2 adba0f3be962e279 488ba16052501d71 8d9558d9a712edc4
+      c76b91f226394e6d d6366d0b3eb3b2bb 90215678a45e76f9 cbb2c86ef502e289
+      3989cc44538b56d4 0a8d78292fd176a1 2877d4ce25f5e4c1 1559a420c0ed67a6
+      af35f7b612d264ab fe28fa2f5b943bd2 8243721ad01eead6 afd714a83878dee0
+      d9c6143b16fe6e4b e64c53ee7569a128 ccfcd17462c9d009 3b1e1d0559738272
+      f1422b41fb9dfb23 e7054b521fe2a080 e1b8d58409f26a8c da6ea258f68e8e5c
+      2ae6ad8384829f25 332cd0512996e45b 361efa151d38394a 10548d664decb7d0
+      040a268b314f966f f1a946d5a1f61cb4 900441020181bc2b 30382b00b418c310
+      545f0002dae05fd6 7203908ea0d24b40 93a25c769384078a 187d8dd4ccb6676e
+      c71a4028a3a1e1ae 07c4f2814b7bdd72 63425ba201efcf1f 9f2d28ffbdb7f814
+      11dab65ed58d1a41 11a89926b7ba94eb 44676fb51e5b3bc2 867c2e2dd2117b4a
+      7e3f6093a63b6a68 79b6817c395a44fd 7222c3665bc6b0e2 9a9c3aa33da8c584
+      d9cdc18e427be446 b64858cf07e15c96 2f57ce8f57f25dd7 c236bfce362a6f57
+      58797b0743387368 4ad5ec52b97b9c89 88a792931d762aee 5e845333c916b4d2
+      83ca9ba8aab50bc4 57c8e4a05d377d16 d6599ae5bf31e11d b7586f827f718c83
+      f6142b9f8a3cb808 d09497f1a6d95398 e1839d36392447bc aacb2fb5e7d9303e
+      a416d0e3286e31f6 867cac2ec1d02964 cf6222a620a51087 e94e81ca7690dd89
       |} );
     ( "OptP-direct",
       {|
-      db88891311cf8a43 bcde0e8d9f0b83b2 51c931e35d9d90f3 4e7182286de0610a
-      2781ab4554bcbbe6 ba1cedfbe43ee3a7 443f0f7264e8f7f7 f64fc2813f9d61fa
-      1a78323748c2fe95 2d7a36907329fb65 26f5a8de3eff6b73 fb20a3c70ff59f30
-      1118421612554054 197e27e26ad80659 0637c307b403f6e4 71cea2dff5891148
-      640a014e1706b236 29e1cadca6fafb65 ed9c7e532fba5aa1 b549d57e8bcfc06b
-      e83dbc7dd4e315dd 3c9681d288bf5305 6030180e1a5506e9 253cabd5ae212cd9
-      de8a3aed5eceb6c0 74ffa77e54a183cc 05e104be7c01cd6e 614f67b6750849a8
-      f3ffba91220a8404 c1d62522b0613538 f1438fceebcc67f1 a76954a040a91f1d
-      dce2cad18b5b149e efa7e8c9a506973a ac8294ce2f1d5df8 76c7a95f2f31c246
-      4c5792d7aed88360 176c9c81e7309d35 e41af17e0df8d366 65e7a5841bfe047a
-      a5ed6bba87645118 499a0f737749e10e 773b854e89f8533f 0f3617fa0a8cb9f2
-      ff62b68a8a9a684d 49034f26f953e9f3 ad051df8845a6ba0 0d9b5629ceb83b67
-      a3d93e688a2b785f 23cecff76fd196e1 05a9add766020703 79bc3a09ebf10939
-      5da8534daec048d1 b31f5202773ec74e 017939da1f112f8d 53f35bfadf919c82
-      0761991cac18d622 8f1a6af5e5bad51d a99251a44b580f7b b1d47f60f52a46cc
-      d85b67a498cbc657 dc64f0e27eb82b47 e7105aa8177e9386 cc5135a8fd5ad0da
-      9ea1cde0aaef9a6f f1ca2dbb403b4787 4e27425f90f21d89 6cb51e2b4f89721a
-      41239aaa1e270525 bb7143660cf73e84 10255861449829c8 c925a0a978151017
-      ee125abc44b473a2 3e05d361c842ff13 6bdce23f861e4c9f eb16d713a425618f
-      0f9bb9373344ab26 a19b7a7c4fdd5b06 52f184ecaa182517 58b62d78b997ab1f
-      6473348b5ad346ac f3377ab3f50e63f0 6a056617122bc867 a76acaa2b3500fb0
-      08ea008574e03b2e 3dd1b83337bcddc7 7931f1fbc72d5978 1ccffdd0d3e2c6f5
-      9681e494d62c11fd 00b3753504e54867 12f04e12dff87dc8 20a870951d9c6851
-      35a54d500544dc3f ea7d17d5767b9713 ee28d4ba6a476ccd c6478d994f1d94ff
-      7d5a0c6d781c4bc2 a91a97197d583832 2fc48e3bb4569768 b615c20bf1205d39
-      8ec171ba17fc04e6 dd5f321bd7919426 80ecdfcbfeaf39e0 da66c10632ac8f4f
-      d06aa0cac60246f3 71b707adddae9ac0 d3a0a116d7cff708 fd68f3a39df6b531
-      900ba3251895544f 6d418c3d9c185d72 a035f13700d1e158 2016f1ad3c53889e
-      c190fdba1dd8b967 5e09ac8bfde5fe39 9b34c0a7d9af5e8b c580126016089de2
-      171b971360c90b93 c2fa4c3c77706b59 68036f0794370319 bebb216858c052de
+      bd2c2ae00b1744f5 ef995a0779617b25 47efa7691f51108a 1f004a6e59ec4c23
+      58549bb25855849f ef50ff255f441757 e784683db18fe62a 7ebd97836d261b07
+      1b71605fdd98c285 1dd5a183d30464e4 03103ebea05fec16 17ac02abaea2aeb9
+      d8a1334e3560ae93 e26aeab8823dc6f1 eac85cb0036ec242 e2761ef08f614e9b
+      71a338cd228d1def 1256e01bc21a166a 21b9a3fe9213f83c 357d74062f234fde
+      af7b083209243107 e60f1fa521780370 24686cc16cd82bc6 9dcdc03e0152bcef
+      cdc73926c420bca1 73f4b781fb338840 d474dbe6a9a3bf04 bf2494f1e5cb62eb
+      ce3f0d5fcbd3ffe0 9c0562dfd90d77e6 341baf29e7006d31 c486b79f9b8cc6dc
+      6d1768aa388742d5 00527e6964c0cafe d52acce027442478 557c16a3398c495e
+      698be4d759854255 919bffdd3ab608aa e3eb29ec8fede5b7 d0310ceec06a25e3
+      790abbbb1ea2021e 4d4d41b161eb7372 ab5358a50c8b1867 ed65992119fbdf35
+      bebae686d7b8e5ea 5a10dee518aaa50c 8d14b68b47aaa2af 7c9ea823384329f2
+      fcef910addfa5063 03b0841aaac1d48f 5c90a129e79ec2a5 6f4985663ec7ccef
+      f805584ce445c5cc e24c3c8a9b17bb26 177af83888d32311 3085d24130a8372f
+      48032475d749d088 43a22bf4ac34c6b6 c5aff320cbd4a1c4 ed644542df91dc9c
+      e167becaea6177c1 612c2038a5f2fc5c 1a5361450d09804a 3b1506819d1e68eb
+      b4b91b607f27b3a0 fef884d91ad9fdec b87d1d6a1c6a6f1a c0cd0dbce0cc96c7
+      54e7519b5826442d 5ba5004369c046e0 e72f9f1169d3808f a424ba7b980d8b22
+      cc1f7a3e76b30142 d50dd6b6f1a85bed df20e6e9e76fc739 df39e22d3d68a246
+      8185a80a975eda0b 60623b73a5aad5bc a6da05be7fa932ad 62cef1e5b5952fb1
+      e53c8f306d7ee067 5dac97d31d13b52c 854f06f6fa13abd5 a0276b274b323e00
+      29cf1d0eb478ebdd b709a62d08592772 a414b1a753aae819 6d415a3d65e42e32
+      d1e594553a585573 755748c85b3f5e4b 22ee73cd2c6af4a9 7f17ff1cc931f1e4
+      7bfec979b7396c9d c7cd2932a26ac2cb 15da2e1d353fd637 370d42c9931ad682
+      9a250b450f55d3d4 828b058c226e9a27 8d5807f7caffc29b cc2f2d4c76593c0f
+      1304ed1f16677384 d8cc1b680248733e 5508a07294cb8760 5f3206db46fb7ecc
+      74c04ac3a504eb60 2f8916a2a2db90ce c12d008ec2ad0703 6bf964ab77deabb0
+      a6ba3c0a08924dba 76b0d850c2437dbb 6696c189c65fbd3d deb27fa8df11bf59
+      9d13a5f227aa5e58 38df65fb66a71089 ec3b2b223668bf03 473945229bfcee70
+      f8d1a1dfec017c08 3bcdd81165f6685a 94e4acea2ce84963 52b0123d17a87ade
       |} );
   ]
 
@@ -780,46 +780,46 @@ let churny_cases =
    [churny_cases] order *)
 let golden_churny =
   {|
-      0ca8382fb4fdc9b7 528e63afaf8a1c46 bfe57325c361434a 3ea64f7ca6d659d8
-      64fcd0c630e5a6de 43752ac5e9494f42 a59004f2bc21b1d9 3eb53f8799bb1ca7
-      8665129768d349fb ceab31ec5736a4c3 3bf16495fdc2fef4 0977f242b70c0f62
-      37df350328712166 a11063e40f8dd2b4 28eae8ca47eacbdb 5fc5c400d45bf6f3
-      db5e31cf9c9e3177 e7d11073daa7df4f 2be5ec2632854414 121ac0c70b425755
-      09f9c3550b36c46c f0ce94045bc12d3a 62daa8dec7f4323f 436e520738e291be
-      98505fcb2c7127a9 95e11e048eac5d9b af352d3d2ee29525 42f2515061c921eb
-      eed815723023458c 6835818a8cd92791 830701ceca974594 d08b4e6657f9a5be
-      bfcb22b301068e0d 395ee04133736f1a a5f1d4df55fa9368 e7ff6bca67730c86
-      5288f43296e5c083 e51a34ef324b07bc e7a6a8db665307cf 6874a7037f659ea4
-      bf0cac97d2807684 62211ecc6fde1eb7 9d132dc6ec76b9d0 9ff12e594e08dff9
-      7959ae117d727947 bb170f3582c06829 2323705edca78768 c270af5a10ec613e
-      8c135ab7c30a6374 5f2efc35c8177455 d2a8b2713291deab 18e2bf1c2d4759d4
-      a41a12b7c68d0147 5a187b3c6456d185 4e0aba812196bd30 74e0895ec38ad3fa
-      931ebb2ee6548232 e9cac02c3158a072 1571548c64c7804c 51716281a56d916b
-      5aa798d7fd4d3a22 4bff0ee14d80cb8e b426ad0f433224ec 4d1916d25485f5e7
-      1b4cdb513f1dbcb3 d13d86912b3d3989 8f43a8e937ffd580 c0661f123de20ec9
-      63084b7f8f950e70 8e8005604b9796df 9072cec929c4a8a9 7a4ddbbb87810994
-      9cba1a6f504b2071 1f8557fcabba8611 d6234bfd72f74ab7 401c67721b477bc3
-      c23f2713702872ad 9e27ac4fb7014d67 3990ac956cc389c1 b478787c5ab52841
-      41749f9ca29ad8db a08fb97713cd8bd6 58a8b68badc3fd3f a4f04dd39971b524
-      827fe6094b36144e cf6d1d88aadadf57 55d99ea74bc2896c 4c7e9da89b30f640
-      d0f077bd662c7db8 f42d03fb311d5870 14aa59f4bff1c46a 5ffb793f0c2b89e6
-      08ec3a65fd3f579b 4a03c49458177b68 bd6db024220ce83c 298fe73efb95bb49
-      49a84e03a7387ab6 22c165888c8b62e9 b3106565e9f484de 74f275b78f8c85f4
-      1e8fe53b654bca0f f838e27f8252084b e8e0bd3ee288ccb1 895e307398f225df
-      70454077ef8cf4d9 b600c7f7c2e0c20c f983c8e08df16848 9529e79768f8cf99
-      b732616bd9814fe0 a74da52a7c8411b3 6cc03106015f5cfa 7eff0bc44a9ea117
-      2059bc50ac7f7f7e f04c1cf6e1fdd703 059eddfb396a07e2 2fa9869abbb75962
-      99c43d7eeb72cca9 242a93bd2d07c308 6cd44ec52ae9c145 988537fc07ad08c3
-      8beb948ad2a8450c 1e7f0179111b2338 31abbbe0ae2ab2fd 0b889c8e4c91d5f8
-      d16dcbb2a15e2cc9 f6ade02451391298 be7f661568863e80 aaf6bd76acc5eff9
-      575e95daa357d7c9 e04fa18951852b69 e737ce823548f646 12bdb2e3312525ca
-      4f3f187773d1dcd3 ff48a37c17f6cff2 4bdb9d12e1325fd2 884bbb255e77e157
-      9a88ca7b74eac2e9 f5654fe17b469008 7ddd9bb4c2a6d52c d6bc72ec5bfd0e8f
-      9a3f7d7491ea03f4 89207ed739dac1cb 64e4173a3829b9a8 de32b224c0812f37
-      a84c09ca1f171218 36839493379d3844 1bef59b89d0936ee b74f9d87fbffb15d
-      940d875e63245f0f ae44236c1147014e afb45f109b61e033 4183ff89509341ef
-      b88f7558d1d06456 e4c3c9e3ba24551a 345095ea71716bcc b02191d27f1301c5
-      35d54e08954b617d f9d34402dacb08da 3e99456034e4df6b a861c4f1a183ba48
+      3cfee1effd0023bf 4203c64c193e375f f35c7ca91921f12a a1747b3fc1dbbc34
+      698ef256d4bb3e07 1f09fc620221a8d7 9b11a3f8c1c7915d 5c61ed5609e338db
+      bd0d6e2d5d6c67d7 fa1a3a87f89bc1f8 d30b28e66ee0a931 b54e53f11102f9f0
+      d6f8fdae907363b4 dac0140f9d316bae 4d49afd82138202a d9f600f2d6af43ca
+      56c86eec3bcaea9e a1d64daeb1bce41f 1371d8d64b24b38f 953a5a64dabf47bb
+      2d6c5c5612013a97 e9f50d9a7f930931 6275922d570e9920 cba5a45673d67a76
+      6ff9a9adef9125cd b7d8da715962d90f 0424179cb4629a05 e0cf88740c143edb
+      2b1a9869b0ee94b8 79d652ff0f7a46e3 122c6c4706ad8a99 20a6855551e366ef
+      0317b29950cd45fc 3ee2ea9147873212 2aed569becd510e2 630650ba9f49c8c6
+      130cb8352e94f5ce 6d8ac1414ee53c5e 1df04c5e4b66c82d 502555dbd441c6d5
+      434234ef25878315 66a2bb669e4a1c5c a4c358021cee5eef 8b84853ae85fe2fa
+      a1ed079b873ee8b2 583b736b4abb9b3e 99b0a71c23c01a28 0e66b8eae0ca34ed
+      81800440f824e07b 8fd51d069286826e 8865d55885e06b71 55ab9c91b22019b0
+      b37e906fd3fd9990 67daf5ec3ca7b662 a38190fe4e9bc3b2 95f38c708ed6bae3
+      11daf2b34c883308 0cc71329ae7a4b33 a918ef24839ddc49 d82da2d7313b749a
+      38740e77b7737892 76628576c7b615de ae6337174da35c9c c01894fb9bb62146
+      8c2caa8668491acd 4f83724b4ff68f38 1fbff1f05bffd4ee 6b235e61a6939eda
+      56e2c4a356338eb9 6316bd661442317c 231d82a1f9ce7fba b795f20a94f91df5
+      7a274532c9092350 91897adfb9b50f05 a9fb340895b63b5d f9a1438f9c48c42f
+      89f4bc7e9e7ac912 1123b5988afccbe5 200e19ab6f79b212 085f5765541d6607
+      0c4eeefac192f31e 355364554a9bce39 79f4d45866799135 54a76d60f672cda7
+      bd0c9f645f20b902 b3bec069581c79f4 d637af24a3f0442b b135c0a04d5cd219
+      c6e74f8f2a503f25 7ab94396d327b4af c5dd2cf8485da005 d1ba154d563990d6
+      bbe822df759097cc d920cfe4ef955382 e13df086e315e90e 51efc1834a4b6cf6
+      3d8b117e176437e6 3b4cbf0c5410dafc c9a150908d04a915 33d054dbc3600d0a
+      ce82e5987ab58e40 4c9fc0de23496f7e 614eea5fa2af650f 4901514e2552efe6
+      2700c15796fb506a 26f0bf836ad57cf3 b13a88648394d52f bb707ed5e65d0e5a
+      8de8034c9ac9c9e5 3b55719e43c3f326 773704763d7f6839 1013c633a0e499fa
+      b15b2f5f8e0e7159 7deac29ae490116c 0a29db2f897fe72d 04a35769c69ea978
+      4f2f15732071da30 7d8fc918c69d9a92 066ff92c98dd6a18 815679969267cc18
+      25f62885d52d1fd9 aaf898db2667ee4e a394ea8a600e476f f06f004beb4bec84
+      82120e5e644f72db 3c43cd835ff91ca2 4c394aa569ef2cdf 632d5fd67445d2dd
+      4eb3153b71b028da 7fbdb8df4423c643 297833deca36173a 958361625f27e91f
+      1966e04d8ef8b1f3 a8214f9abd169f61 028f97ac15892d4e d96385111eb47039
+      d705cea43066239c 7baf48036768903e f0041276b7c43fa1 864eabfdd75bc2fe
+      457bb4b8114ba55b d0d9f66e09af44ae dc17e65ec29e4e96 fbb8f2be47e604e2
+      e3297de31ff76fe6 6d37f861b451d3e9 b5f23555dcbf5bbf 288131dc7dd752c9
+      ac73bc8be14d0a2a 310cbd0d882a18b4 8b8d380d2b22e2f0 5d8742361de61c86
+      529abb76dc91cc78 14b466ac7ba5e0e3 e27618e04d2ce6d9 d9dcb472d05c221f
+      315319c3295a7d50 a0a6578645c69032 ca2d4a34ab10c76d dba576117d812992
   |}
 
 let test_churny_golden () =
@@ -899,17 +899,17 @@ let observed_cases =
   [
     ( "session-kill-home",
       scenario "session-kill-home",
-      "333109f0bb64463b0c7d2954dfc25963" );
+      "24aaa127a82b31e8f7cf79148d3af5cf" );
     ( "false-suspicion-storm",
       scenario "false-suspicion-storm",
-      "bddc417cd36611f1cb1df3a7dbda96a9" );
+      "0bf419a89b57805f7379183d7f74fd34" );
     ( "churn-storm",
       scenario "churn-storm",
-      "8b4a02b5d55d52385da95fab748986bc" );
+      "7af88c1a982a82267b712fb34dd93e1b" );
     ( "fd smoke",
       (fun ~metrics ~recorder -> ignore (fd_smoke_run ~metrics ~recorder ())),
-      "6e8ec9d31f85f0e0a97b3e4b9d790a60" );
-    ("small plan", small_plan, "5b04b2a916b5ac2c69748ee8c32ad2ec");
+      "3490177d9e2e77b78f49c1026a127412" );
+    ("small plan", small_plan, "304430d82e156efe0e5db6627b8bda7d");
   ]
 
 let test_observed_campaigns () =
