@@ -102,6 +102,8 @@ type t = {
   total : agg;
   kinds : (string, agg) Hashtbl.t;
   mutable kind_order : string list;  (* registration order, reversed *)
+  mutable last_kind : string;  (* matched physically: frames reuse literals *)
+  mutable last_agg : agg;
   edges : edge array;  (* src * n + dst *)
 }
 
@@ -114,6 +116,8 @@ let create ?(proto = "") ~n () =
     total = fresh_agg ();
     kinds = Hashtbl.create 8;
     kind_order = [];
+    last_kind = String.make 1 '\000';  (* no frame's kind, physically *)
+    last_agg = fresh_agg ();
     edges =
       Array.init (n * n) (fun _ -> { e = fresh_agg (); last = [||] });
   }
@@ -126,6 +130,8 @@ let null () =
     total = fresh_agg ();
     kinds = Hashtbl.create 1;
     kind_order = [];
+    last_kind = "";
+    last_agg = fresh_agg ();
     edges = [||];
   }
 
@@ -169,13 +175,25 @@ let delta_vec_bytes edge pos v =
   vec_base_cost + (delta_entry_cost * !changed) + lane
 
 let kind_agg t kind =
-  match Hashtbl.find_opt t.kinds kind with
-  | Some a -> a
-  | None ->
-      let a = fresh_agg () in
-      Hashtbl.add t.kinds kind a;
-      t.kind_order <- kind :: t.kind_order;
-      a
+  if kind != t.last_kind then begin
+    let a =
+      match Hashtbl.find_opt t.kinds kind with
+      | Some a -> a
+      | None ->
+          let a = fresh_agg () in
+          Hashtbl.add t.kinds kind a;
+          t.kind_order <- kind :: t.kind_order;
+          a
+    in
+    t.last_kind <- kind;
+    t.last_agg <- a
+  end;
+  t.last_agg
+
+(* each vector of a frame against the edge's baseline at its position *)
+let rec delta_bytes edge pos acc = function
+  | [] -> acc
+  | v :: rest -> delta_bytes edge (pos + 1) (acc + delta_vec_bytes edge pos v) rest
 
 let record t ~src ~dst f =
   if t.live then begin
@@ -186,15 +204,7 @@ let record t ~src ~dst f =
     let delta =
       if in_range then begin
         let edge = t.edges.((src * t.n) + dst) in
-        let pos = ref 0 in
-        let d =
-          List.fold_left
-            (fun acc v ->
-              let b = delta_vec_bytes edge !pos v in
-              incr pos;
-              acc + b)
-            (dot_cost * f.dots) f.vectors
-        in
+        let d = delta_bytes edge 0 (dot_cost * f.dots) f.vectors in
         bump edge.e ~header ~payload ~meta ~delta:d;
         d
       end

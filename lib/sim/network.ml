@@ -655,7 +655,8 @@ let schedule_delivery t ~src ~dst ~at payload =
   else if t.arena then schedule_arena t ~src ~dst ~at payload
   else schedule_closure t ~src ~dst ~at payload
 
-let send t ~src ~dst payload =
+(* [send] with the payload's wire frame measured ([None]: accountant off) *)
+let transmit t ~src ~dst ~frame payload =
   check_proc t src "send";
   check_proc t dst "send";
   if src = dst then
@@ -673,9 +674,7 @@ let send t ~src ~dst payload =
       (match t.sizer with
       | Some f -> f payload
       | None -> String.length (Marshal.to_string payload []));
-  (match t.measure with
-  | Some f -> Wire.record t.wire ~src ~dst (f payload)
-  | None -> ());
+  (match frame with Some f -> Wire.record t.wire ~src ~dst f | None -> ());
   if t.cut_link.(src).(dst) then begin
     (* partitioned link: the transmission silently disappears *)
     t.partition_dropped <- t.partition_dropped + 1;
@@ -745,9 +744,15 @@ let send t ~src ~dst payload =
     end
   end
 
+let frame t payload =
+  match t.measure with Some f -> Some (f payload) | None -> None
+
+let send t ~src ~dst payload = transmit t ~src ~dst ~frame:(frame t payload) payload
+
 let broadcast t ~src payload =
+  let frame = frame t payload in
   for dst = 0 to t.n - 1 do
-    if dst <> src then send t ~src ~dst payload
+    if dst <> src then transmit t ~src ~dst ~frame payload
   done
 
 let messages_sent t = t.sent

@@ -141,7 +141,9 @@ val send : 'a t -> src:int -> dst:int -> 'a -> unit
 
 val broadcast : 'a t -> src:int -> 'a -> unit
 (** [send] to every process but [src] (the paper's
-    [send m to Π − p_i]). Per-destination latencies are independent. *)
+    [send m to Π − p_i]). Per-destination latencies are independent.
+    The wire accountant prices the one frame, measured once, on every
+    edge. *)
 
 (** {1 Partitions}
 
