@@ -93,12 +93,23 @@ type t = {
   m : int;
   logs : column array;  (** per process, the rows of [E_i] *)
   order : column;  (** the process of each event, globally, one int a row *)
+  counts : int array;  (** events per tag, counted as they are recorded *)
+  delays : int array;  (** delayed applies per process *)
+  mutable delay_total : int;
 }
 
 let create ~n ~m () =
   if n <= 0 then invalid_arg "Execution.create: n must be positive";
   if m <= 0 then invalid_arg "Execution.create: m must be positive";
-  { n; m; logs = Array.init n (fun _ -> column row); order = column 8 }
+  {
+    n;
+    m;
+    logs = Array.init n (fun _ -> column row);
+    order = column 8;
+    counts = Array.make (return + 1) 0;
+    delays = Array.make n 0;
+    delay_total = 0;
+  }
 
 let n_processes t = t.n
 let n_variables t = t.m
@@ -140,6 +151,10 @@ let record t ~proc ~time kind =
         set_int c (int_byte o 3) var;
         set_int c (int_byte o 4) value;
         set_int c (int_byte o 5) (Bool.to_int delayed);
+        if delayed then begin
+          t.delays.(proc) <- t.delays.(proc) + 1;
+          t.delay_total <- t.delay_total + 1
+        end;
         apply
     | Skip { dot } ->
         set_dot c o 0 dot;
@@ -157,6 +172,7 @@ let record t ~proc ~time kind =
   Bytes.set_uint8 c o tag;
   Bytes.set_int64_le c (o + 1) (Int64.bits_of_float (Sim_time.to_float time));
   l.rows <- l.rows + 1;
+  t.counts.(tag) <- t.counts.(tag) + 1;
   let g = t.order in
   reserve g;
   set_int (chunk g g.rows) (offset g g.rows 0) proc;
@@ -278,21 +294,6 @@ let event_count t = t.order.rows
 
 (* ---- queries ------------------------------------------------------- *)
 
-let count_rows t proc p =
-  let l = t.logs.(proc) in
-  let c = ref 0 in
-  for i = 0 to l.rows - 1 do
-    if p l i then incr c
-  done;
-  !c
-
-let count_all t p =
-  let c = ref 0 in
-  for proc = 0 to t.n - 1 do
-    c := !c + count_rows t proc p
-  done;
-  !c
-
 let has_tag tag l i = tag_at l i = tag
 
 let apply_order t proc =
@@ -328,15 +329,15 @@ let delayed_applies t =
     t;
   List.rev !acc
 
-let delay_count t = count_all t is_delayed_apply
+let delay_count t = t.delay_total
 
 let delay_count_at t proc =
   check_proc t "delay_count_at" proc;
-  count_rows t proc is_delayed_apply
+  t.delays.(proc)
 
-let skip_count t = count_all t (has_tag skip)
-let apply_count t = count_all t (has_tag apply)
-let blocked_count t = count_all t (has_tag blocked)
+let skip_count t = t.counts.(skip)
+let apply_count t = t.counts.(apply)
+let blocked_count t = t.counts.(blocked)
 
 let writes t =
   (* own-apply at the issuer is the canonical record of a write: every

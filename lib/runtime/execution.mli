@@ -18,8 +18,9 @@
     holds the process of each event in global order. An event takes
     about 66 bytes, where a boxed event record took about 149.
 
-    - {!record} allocates nothing per event.
-    - The counts, positions and times read the rows in place.
+    - {!record} allocates nothing per event, and counts each event by
+      kind as it records it, so the counts read no row.
+    - The positions and times read the rows in place.
     - {!events} and {!events_of} decode fresh records on every call:
       they serve reports, the CLI and tests.
     - {!iter} decodes one event at a time and keeps none, so a
@@ -137,6 +138,7 @@ val delay_count_at : t -> int -> int
 val blocked_count : t -> int
 val skip_count : t -> int
 val apply_count : t -> int
+(** The counts are kept as events are recorded: each read is O(1). *)
 
 val writes : t -> (Dsm_vclock.Dot.t * int * int) list
 (** All writes issued in the run, as [(dot, var, value)], from the local
