@@ -350,6 +350,105 @@ module Stress = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* The flood floor: OptP against applying every message on arrival     *)
+(* ------------------------------------------------------------------ *)
+
+module Floor = struct
+  module Protocol = Dsm_core.Protocol
+  module Sim_run = Dsm_runtime.Sim_run
+  module Execution = Dsm_runtime.Execution
+
+  (* OptP with causal delivery taken out: a receive applies its write at
+     once, with no buffer and no state update. A run makes the same
+     sends and deliveries as OptP's, so the difference of the two is
+     what causal delivery costs. *)
+  module Flood = struct
+    include Dsm_core.Opt_p
+
+    let name = "flood"
+
+    let receive _ ~src:_ (m : msg) =
+      {
+        Protocol.no_effects with
+        applied =
+          [ { adot = m.dot; avar = m.var; avalue = m.value; afrom_buffer = false } ];
+      }
+  end
+
+  type side = {
+    ms : float;  (** median per run *)
+    minor_words : float;  (** median per run *)
+    promoted_words : float;  (** median per run *)
+    deliveries : int;
+    applies : int;
+  }
+
+  type result = { fn : int; runs : int; optp : side; flood : side }
+
+  (* the static-reorder input shape of the repository benchmark, on its
+     development seed's first input *)
+  let spec ~quick =
+    Dsm_workload.Spec.make
+      ~n:(if quick then 8 else 32)
+      ~m:8
+      ~ops_per_process:(if quick then 40 else 206)
+      ~write_ratio:0.5 ~var_dist:(Dsm_workload.Spec.Zipf_vars 1.2) ~seed:1000
+      ()
+
+  let latency = Dsm_sim.Latency.Lognormal { mu = 2.; sigma = 1.2 }
+
+  (* one run with null observers: CPU ms, minor and promoted words (the
+     promoted count moves at minor collections, so one flushes it) *)
+  let once (Protocol.Packed (module P)) spec =
+    Gc.full_major ();
+    let promoted0 = (Gc.quick_stat ()).promoted_words in
+    let minor0 = Gc.minor_words () in
+    let t0 = Sys.time () in
+    let o = Sim_run.run (module P) ~spec ~latency ~seed:1000 () in
+    let ms = (Sys.time () -. t0) *. 1000. in
+    let minor = Gc.minor_words () -. minor0 in
+    Gc.minor ();
+    (o, ms, minor, (Gc.quick_stat ()).promoted_words -. promoted0)
+
+  let median l =
+    let a = Array.of_list l in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+
+  let side samples =
+    let o, _, _, _ = List.hd samples in
+    {
+      ms = median (List.map (fun (_, ms, _, _) -> ms) samples);
+      minor_words = median (List.map (fun (_, _, w, _) -> w) samples);
+      promoted_words = median (List.map (fun (_, _, _, w) -> w) samples);
+      deliveries = o.Sim_run.messages_delivered;
+      applies = Execution.apply_count o.Sim_run.execution;
+    }
+
+  let run ~quick () =
+    let spec = spec ~quick and runs = if quick then 1 else 5 in
+    let optp = Protocol.Packed (module Dsm_core.Opt_p)
+    and flood = Protocol.Packed (module Flood) in
+    (* interleaved, so host drift reaches both sides alike *)
+    let pairs = List.init runs (fun _ -> (once optp spec, once flood spec)) in
+    let o = side (List.map fst pairs) and f = side (List.map snd pairs) in
+    if o.deliveries <> f.deliveries || o.applies <> f.applies then
+      failwith "Floor: OptP and flood runs made different deliveries";
+    Printf.printf
+      "n=%d, %d interleaved runs per side; %d deliveries, %d applies each\n"
+      spec.Dsm_workload.Spec.n runs o.deliveries o.applies;
+    Printf.printf "%-6s %10s %14s %16s\n" "" "ms/run" "minor words" "promoted words";
+    List.iter
+      (fun (name, s) ->
+        Printf.printf "%-6s %10.1f %14.0f %16.0f\n" name s.ms s.minor_words
+          s.promoted_words)
+      [ ("OptP", o); ("flood", f) ];
+    Printf.printf "gap (OptP - flood): %.1f ms per run, %.2fx\n" (o.ms -. f.ms)
+      (o.ms /. f.ms);
+    { fn = spec.Dsm_workload.Spec.n; runs; optp = o; flood = f }
+end
+
+(* ------------------------------------------------------------------ *)
 (* Observability: probe overhead, null sink vs full tracing            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1455,6 +1554,7 @@ end
 (* results captured for --json; filled by the section bodies *)
 let stress_quick = ref false
 let stress_result : Stress.result option ref = ref None
+let floor_result : Floor.result option ref = ref None
 let micro_rows : (string * float option * float option) list ref = ref []
 
 let sections =
@@ -1482,6 +1582,9 @@ let sections =
     ( "S",
       "buffer stress: indexed wakeups vs scanning drain",
       fun () -> stress_result := Some (Stress.run ~quick:!stress_quick ()) );
+    ( "D",
+      "flood floor: OptP's causal delivery against applying on arrival",
+      fun () -> floor_result := Some (Floor.run ~quick:!stress_quick ()) );
     ( "O",
       "observability: probe overhead, null sink vs full tracing",
       fun () -> Obs.run ~quick:!stress_quick () );
@@ -1584,6 +1687,23 @@ let write_json file =
            s.Stress.sn s.Stress.senders s.Stress.writes_per_sender
            s.Stress.messages s.Stress.scan_ms s.Stress.indexed_ms
            s.Stress.speedup));
+  Buffer.add_string buf ",\n  \"floor\": ";
+  (match !floor_result with
+  | None -> Buffer.add_string buf "null"
+  | Some r ->
+      let side name (s : Floor.side) =
+        Printf.sprintf
+          "\"%s\": { \"ms\": %.2f, \"minor_words\": %.0f, \
+           \"promoted_words\": %.0f, \"deliveries\": %d, \"applies\": %d }"
+          name s.ms s.minor_words s.promoted_words s.deliveries s.applies
+      in
+      Buffer.add_string buf
+        (Printf.sprintf
+           "{\n    \"n\": %d,\n    \"runs\": %d,\n    %s,\n    %s,\n\
+           \    \"gap_ms\": %.2f\n  }"
+           r.Floor.fn r.Floor.runs (side "optp" r.Floor.optp)
+           (side "flood" r.Floor.flood)
+           (r.Floor.optp.ms -. r.Floor.flood.ms)));
   Buffer.add_string buf "\n}\n";
   match open_out file with
   | oc ->
