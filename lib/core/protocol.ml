@@ -78,22 +78,9 @@ end
 module Buffer = Dsm_sim.Delivery_buffer
 module V = Dsm_vclock.Vector_clock
 
-(* the first component [k' >= k] below [n] that [wanted] still needs,
-   as the wait (a top-level function: a local one would allocate its
-   closure on every evaluation) *)
-let rec scan ~applied ~wanted ~src (w : Buffer.wait) ~n k : Buffer.status =
-  if k >= n then begin
-    w.resume <- n;
-    Ready
-  end
-  else if k <> src && V.unsafe_get wanted k > V.unsafe_get applied k then begin
-    w.resume <- k;
-    w.counter <- k;
-    w.count <- V.unsafe_get wanted k;
-    Wait
-  end
-  else scan ~applied ~wanted ~src w ~n (k + 1)
-
+(* the sender gap first, then the first component from the resume
+   point on that the receiver still lacks, found by the
+   [Vector_clock] kernel in one call *)
 let vector_wait ~applied ~wanted ~n ~src (w : Buffer.wait) : Buffer.status =
   let a_src = V.get0 applied src and w_src = V.get0 wanted src in
   if a_src < w_src - 1 then begin
@@ -102,7 +89,22 @@ let vector_wait ~applied ~wanted ~n ~src (w : Buffer.wait) : Buffer.status =
     Wait
   end
   else if a_src > w_src - 1 then Stuck
-  else scan ~applied ~wanted ~src w ~n:(min n (V.size wanted)) w.resume
+  else begin
+    let upto = min n (V.size wanted) in
+    let k =
+      V.first_exceeding ~wanted ~applied ~skip:src ~from:w.resume ~upto
+    in
+    if k >= upto then begin
+      w.resume <- upto;
+      Ready
+    end
+    else begin
+      w.resume <- k;
+      w.counter <- k;
+      w.count <- V.unsafe_get wanted k;
+      Wait
+    end
+  end
 
 (* the status check on the incoming message also routes it: a message
    that must wait is added with the status just computed *)

@@ -213,7 +213,8 @@ val vector_wait :
     [k ≠ src] below [n] and [wanted]'s size with [wanted[k] > applied[k]],
     scanned from [w.resume], where the scan leaves its stopping point.
     [applied] only grows between restores, so the components below are
-    still covered: resuming finds what a scan from 0 would. *)
+    still covered: resuming finds what a scan from 0 would. The scan is
+    one call of {!Dsm_vclock.Vector_clock.first_exceeding}. *)
 
 (** Shared receive skeleton over a delivery buffer. The wait oracle and
     the apply functions are the protocol's own top-level functions,
