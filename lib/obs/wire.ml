@@ -86,14 +86,40 @@ let bump a ~header ~payload ~meta ~delta =
   a.a_meta <- a.a_meta + meta;
   a.a_delta <- a.a_delta + delta
 
-(* per-edge delta state: the entries of the last vector sent on this
-   edge, per vector position within the frame (position 1 is rare —
-   only multi-vector frames like state-transfer use it); [||] is no
-   baseline. Plain [int array]s, refreshed by [Array.unsafe_set] on the
-   changed entries only: an int store into an old array needs no write
-   barrier, where [V.copy_into]'s [Array.blit] into one runs it on every
-   entry. *)
+(* per-edge delta state: for each vector position within the frame
+   (position 1 on is rare — multi-vector frames like state transfer),
+   the entries of the last vector sent on the edge there, followed by
+   one tag entry: the index of the edge that owns the array, or
+   [shared] when several edges hold it. [||] is no baseline. An owned
+   baseline is refreshed in place; a shared one is replaced by a fresh
+   array, so an edge never moves another's baseline. *)
 type edge = { e : agg; mutable last : int array array }
+
+let shared = -1
+
+(* What the last frame recorded priced: the frame (matched physically:
+   a broadcast records one frame value on every edge) and, per vector
+   position, the baseline its first in-range edge met ([old]), the
+   baseline it left there ([next]) and the delta price. An edge of the
+   same frame holding the same [old] baseline shares the price and
+   [next] instead of comparing the vector again. [never] is an [old]
+   no edge holds, for a position priced against an owned baseline. *)
+type memo = {
+  mutable frame : frame;
+  mutable payload : int;
+  mutable meta : int;
+  mutable len : int;  (* positions filled *)
+  mutable old : int array array;
+  mutable next : int array array;
+  mutable cost : int array;
+}
+
+let never = [| shared |]
+let no_frame = { kind = ""; scalars = 0; dots = 0; vectors = [] }
+
+let fresh_memo () =
+  { frame = no_frame; payload = 0; meta = 0; len = 0; old = [||]; next = [||];
+    cost = [||] }
 
 type t = {
   live : bool;
@@ -105,6 +131,7 @@ type t = {
   mutable last_kind : string;  (* matched physically: frames reuse literals *)
   mutable last_agg : agg;
   edges : edge array;  (* src * n + dst *)
+  memo : memo;
 }
 
 let create ?(proto = "") ~n () =
@@ -120,6 +147,7 @@ let create ?(proto = "") ~n () =
     last_agg = fresh_agg ();
     edges =
       Array.init (n * n) (fun _ -> { e = fresh_agg (); last = [||] });
+    memo = fresh_memo ();
   }
 
 let null () =
@@ -133,46 +161,71 @@ let null () =
     last_kind = "";
     last_agg = fresh_agg ();
     edges = [||];
+    memo = fresh_memo ();
   }
 
 let enabled t = t.live
 let protocol t = t.proto
 let n t = t.n
 
-(* delta cost of [v] vs the last vector at [edge] position [pos]; makes
-   a copy of [v]'s entries the new last. With no prior frame, or one of
-   another width, the baseline is the all-zero vector, so the delta
-   prices the nonzero entries. *)
-let delta_vec_bytes edge pos v =
+let grow_to a len fill =
+  let g = Array.make (max len (2 * Array.length a)) fill in
+  Array.blit a 0 g 0 (Array.length a);
+  g
+
+(* note position [pos] of the memo's frame, priced on its first
+   in-range edge *)
+let remember m pos ~old ~next ~cost =
+  if pos >= Array.length m.cost then begin
+    m.old <- grow_to m.old (pos + 1) [||];
+    m.next <- grow_to m.next (pos + 1) [||];
+    m.cost <- grow_to m.cost (pos + 1) 0
+  end;
+  m.old.(pos) <- old;
+  m.next.(pos) <- next;
+  m.cost.(pos) <- cost;
+  m.len <- pos + 1
+
+(* delta cost of [v] vs the last vector at position [pos] of edge
+   [ei]; [v]'s entries become the baseline there. With no prior frame,
+   or one of another width, the baseline is the all-zero vector, so
+   the delta prices the nonzero entries. *)
+let delta_vec_bytes t edge ei pos v =
   let cap = Array.length edge.last in
-  if pos >= cap then begin
-    let grown = Array.make (max (pos + 1) (max 2 (2 * cap))) [||] in
-    Array.blit edge.last 0 grown 0 cap;
-    edge.last <- grown
-  end;
-  let size = V.size v in
-  let prev = edge.last.(pos) in
-  let changed = ref 0 in
-  if Array.length prev = size then
-    for i = 0 to size - 1 do
-      let x = V.unsafe_get v i in
-      if x <> Array.unsafe_get prev i then begin
-        incr changed;
-        Array.unsafe_set prev i x
-      end
-    done
+  if pos >= cap then edge.last <- grow_to edge.last (max (pos + 1) 2) [||];
+  let prev = edge.last.(pos) and m = t.memo in
+  if pos < m.len && prev == m.old.(pos) then begin
+    (* another edge of this frame priced against this baseline *)
+    let next = m.next.(pos) in
+    next.(Array.length next - 1) <- shared;
+    edge.last.(pos) <- next;
+    m.cost.(pos)
+  end
   else begin
-    let fresh = V.to_array v in
-    for i = 0 to size - 1 do
-      if Array.unsafe_get fresh i <> 0 then incr changed
-    done;
-    edge.last.(pos) <- fresh
-  end;
-  (* the generation lane is priced dense on the delta counterfactual
-     too: its entries are tiny and change only at slot reuse, so a
-     sparse encoding would add bookkeeping for negligible savings *)
-  let lane = if V.has_generations v then gen_entry_cost * V.size v else 0 in
-  vec_base_cost + (delta_entry_cost * !changed) + lane
+    let size = V.size v in
+    let owned = Array.length prev = size + 1 && prev.(size) = ei in
+    let next =
+      if owned then prev
+      else begin
+        let fresh =
+          if Array.length prev = size + 1 then Array.copy prev
+          else Array.make (size + 1) 0
+        in
+        fresh.(size) <- ei;
+        edge.last.(pos) <- fresh;
+        fresh
+      end
+    in
+    let changed = V.sync_into v next in
+    (* the generation lane is priced dense on the delta counterfactual
+       too: its entries are tiny and change only at slot reuse, so a
+       sparse encoding would add bookkeeping for negligible savings *)
+    let lane = if V.has_generations v then gen_entry_cost * size else 0 in
+    let cost = vec_base_cost + (delta_entry_cost * changed) + lane in
+    if pos = m.len then
+      remember m pos ~old:(if owned then never else prev) ~next ~cost;
+    cost
+  end
 
 let kind_agg t kind =
   if kind != t.last_kind then begin
@@ -191,20 +244,27 @@ let kind_agg t kind =
   t.last_agg
 
 (* each vector of a frame against the edge's baseline at its position *)
-let rec delta_bytes edge pos acc = function
+let rec delta_bytes t edge ei pos acc = function
   | [] -> acc
-  | v :: rest -> delta_bytes edge (pos + 1) (acc + delta_vec_bytes edge pos v) rest
+  | v :: rest ->
+      delta_bytes t edge ei (pos + 1) (acc + delta_vec_bytes t edge ei pos v) rest
 
 let record t ~src ~dst f =
   if t.live then begin
-    let header = header_cost in
-    let payload = payload_bytes f in
-    let meta = meta_bytes f in
+    let m = t.memo in
+    if f != m.frame then begin
+      m.frame <- f;
+      m.payload <- payload_bytes f;
+      m.meta <- meta_bytes f;
+      m.len <- 0
+    end;
+    let header = header_cost and payload = m.payload and meta = m.meta in
     let in_range = src >= 0 && src < t.n && dst >= 0 && dst < t.n in
     let delta =
       if in_range then begin
-        let edge = t.edges.((src * t.n) + dst) in
-        let d = delta_bytes edge 0 (dot_cost * f.dots) f.vectors in
+        let ei = (src * t.n) + dst in
+        let edge = t.edges.(ei) in
+        let d = delta_bytes t edge ei 0 (dot_cost * f.dots) f.vectors in
         bump edge.e ~header ~payload ~meta ~delta:d;
         d
       end
@@ -252,7 +312,9 @@ let reset t =
     (fun edge ->
       clear edge.e;
       Array.fill edge.last 0 (Array.length edge.last) [||])
-    t.edges
+    t.edges;
+  t.memo.frame <- no_frame;
+  t.memo.len <- 0
 
 let per_frame total frames =
   if frames = 0 then 0. else float_of_int total /. float_of_int frames

@@ -50,7 +50,27 @@ val n : t -> int
 
 val record : t -> src:int -> dst:int -> frame -> unit
 (** Price one frame sent [src] → [dst]. Out-of-range endpoints are
-    priced into the totals (delta = dense) but not into any edge. *)
+    priced into the totals (delta = dense) but not into any edge.
+
+    {b How a broadcast is priced.} A broadcast records one frame value
+    on each of its [n - 1] edges ({!Dsm_sim.Network.broadcast} measures
+    its payload once). The accountant remembers the last frame it
+    priced, matched physically, with its dense sizes and, per vector
+    position, the delta baseline its first edge met, the baseline it
+    left and the delta price. An edge of that frame holding the same
+    baseline array takes the price and the new baseline without
+    comparing the vector again, so the edges of a broadcast end up
+    sharing one baseline array, and the next broadcast from the same
+    sender is compared once. A baseline that one edge owns (left by a
+    unicast) is refreshed in place; a shared one is replaced by a
+    fresh array, never written through. Every figure is the one a
+    separate comparison per edge gives (test_wire keeps that pricer as
+    a reference).
+
+    The one contract this adds: a frame is the shape of a message, so
+    its vectors must not change between records of the same frame
+    value. A vector mutated between records of two frame values is
+    priced as it stands. *)
 
 (** {1 Aggregates} *)
 
