@@ -1,24 +1,38 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes, read and written by
+   the unchecked 64-bit primitives: an [int64] kept in a mutable field
+   is boxed afresh on every draw. The draws below are [@inline], so a
+   composite one (a Box–Muller normal, a lognormal latency) keeps its
+   intermediate [int64]s and [float]s unboxed and allocates only the
+   float it returns. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = Int64.of_int seed }
-let of_int64 state = { state }
+let of_int64 state =
+  let t = Bytes.create 8 in
+  set64 t 0 state;
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_int64 (Int64.of_int seed)
+
+let[@inline] next_int64 t =
+  let s = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 s;
+  mix64 s
 
 let split t =
   let s = next_int64 t in
   (* mix with a distinct finalizer so the child stream is decorrelated
      from the parent's subsequent outputs *)
-  { state = mix64 (Int64.logxor s 0xC2B2AE3D27D4EB4FL) }
+  of_int64 (mix64 (Int64.logxor s 0xC2B2AE3D27D4EB4FL))
 
 let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 34)
 
@@ -38,7 +52,7 @@ let int t bound =
     go ()
   end
 
-let float t =
+let[@inline] float t =
   (* 53 uniform bits into [0,1) *)
   let r = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float r *. 0x1p-53
@@ -58,7 +72,7 @@ let exponential t mean =
   let u = 1. -. float t in
   -.mean *. log u
 
-let gaussian t =
+let[@inline] gaussian t =
   (* Box–Muller, discarding the second variate to keep the generator
      stateless beyond its seed word *)
   let u1 = 1. -. float t and u2 = float t in
