@@ -121,7 +121,7 @@ let direction_of path =
   let seg = last_segment path in
   if
     contains seg "per_sec" || contains seg "throughput"
-    || contains seg "speedup" || contains seg "reduction"
+    || contains seg "speedup"
   then Higher_better
   else
     let tokens = String.split_on_char '_' seg in

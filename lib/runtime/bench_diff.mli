@@ -8,8 +8,8 @@
     - {e lower is better}: segments mentioning [ns]/[ms]/[pct]/[bytes]/
       [latency]/[overhead]/[words]/[delays]/... — a regression when
       [new/old > fail_over];
-    - {e higher is better}: [per_sec]/[throughput]/[speedup]/
-      [reduction] — a regression when [old/new > fail_over];
+    - {e higher is better}: [per_sec]/[throughput]/[speedup] — a
+      regression when [old/new > fail_over];
     - {e info}: counts and identifiers ([n], [messages], [events]) —
       reported, never fatal.
 

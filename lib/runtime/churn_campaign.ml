@@ -136,15 +136,20 @@ let count_quarantine_leaks execution =
     execution;
   !leaks
 
+(* anti-entropy after a join or a rejoin: [sync_rounds] requests,
+   [sync_interval] apart; a graceful leave polls its send queue every
+   [flush_poll] until it drains *)
+let sync_rounds = 2
+let sync_interval = 100.
+let flush_poll = 10.
+
 let run (type pt pm)
     (module P : Protocol.S with type t = pt and type msg = pm) ~spec
     ~latency ?(faults = Network.no_faults) ~plan ~initial ?detector
-    ?(mixed = false) ?sessions ?(checkpoint_every = 50.) ?(sync_rounds = 2)
-    ?(sync_interval = 100.) ?(flush_poll = 10.) ?(settle = true)
+    ?(mixed = false) ?sessions ?(checkpoint_every = 50.) ?(settle = true)
     ?(retransmit_after = 50.) ?(seed = 1) ?(max_steps = 20_000_000)
     ?(metrics = Metrics.null ()) ?(wire = Dsm_obs.Wire.null ())
-    ?(recorder = Dsm_obs.Timeseries.null ()) ?(scrape_every = 25.)
-    ?(queue = Engine.Indexed) ?(arena = true) ?(batch = false) () =
+    ?(recorder = Dsm_obs.Timeseries.null ()) ?(scrape_every = 25.) () =
   let protocol =
     (module P : Protocol.S with type t = pt and type msg = pm)
   in
@@ -163,11 +168,11 @@ let run (type pt pm)
   if checkpoint_every <= 0. then
     invalid_arg "Churn_campaign.run: checkpoint_every must be positive";
   let schedule = Dsm_workload.Generator.generate spec in
-  let engine = Engine.create ~queue () in
+  let engine = Engine.create () in
   let rng = Rng.create seed in
   let network =
     Replica_host.network protocol ~engine ~rng ~n:universe ~latency ~faults
-      ~arena ~batch ~metrics ~wire ()
+      ~metrics ~wire ()
   in
   (* the later of [from] and the last plan event *)
   let past_plan from =

@@ -202,9 +202,6 @@ val run :
   ?mixed:bool ->
   ?sessions:Session_tier.config ->
   ?checkpoint_every:float ->
-  ?sync_rounds:int ->
-  ?sync_interval:float ->
-  ?flush_poll:float ->
   ?settle:bool ->
   ?retransmit_after:float ->
   ?seed:int ->
@@ -213,9 +210,6 @@ val run :
   ?wire:Dsm_obs.Wire.t ->
   ?recorder:Dsm_obs.Timeseries.t ->
   ?scrape_every:float ->
-  ?queue:Dsm_sim.Engine.queue_impl ->
-  ?arena:bool ->
-  ?batch:bool ->
   unit ->
   outcome
 (** [run (module P) ~spec ~latency ~plan ~initial ()] — [spec.n] is the
@@ -230,8 +224,10 @@ val run :
     applied everywhere, single-write messages): OptP, ANBKH or
     OptP-direct. Writing-semantics protocols cannot serve anti-entropy
     catch-up and fail loudly. Defaults: [checkpoint_every = 50.],
-    [sync_rounds = 2] spaced [sync_interval = 100.] apart,
-    [settle = true], [retransmit_after = 50.], [seed = 1].
+    [settle = true], [retransmit_after = 50.], [seed = 1]. Fixed: a
+    join or rejoin runs 2 anti-entropy rounds 100 time units apart, and
+    a graceful leave polls its send queue every 10 time units until it
+    drains.
 
     [?metrics] (default: the null registry) is threaded to the network
     and reliable channel and additionally receives the [membership_*]

@@ -21,8 +21,7 @@ type outcome = {
 let run_with (module P : Pp.IMPL) ~replication ~spec ~latency ?(seed = 1)
     ?(max_steps = 10_000_000) ?(metrics = Dsm_obs.Metrics.null ())
     ?(wire = Dsm_obs.Wire.null ()) ?(recorder = Dsm_obs.Timeseries.null ())
-    ?(scrape_every = 25.) ?(queue = Engine.Indexed) ?(arena = true)
-    ?(batch = false) () =
+    ?(scrape_every = 25.) ?(queue = Engine.Indexed) ?(arena = true) () =
   let n = spec.Spec.n and m = spec.Spec.m in
   if Replication.n replication <> n || Replication.m replication <> m then
     invalid_arg "Partial_run.run: replication map dimensions mismatch";
@@ -32,7 +31,7 @@ let run_with (module P : Pp.IMPL) ~replication ~spec ~latency ?(seed = 1)
   let network =
     Network.create ~engine ~rng ~n
       ~latency:(fun ~src:_ ~dst:_ -> latency)
-      ~arena ~batch ~metrics ~wire ~measure:Pp.msg_frame
+      ~arena ~metrics ~wire ~measure:Pp.msg_frame
       ~sizer:(fun msg -> Dsm_obs.Wire.frame_bytes (Pp.msg_frame msg))
       ()
   in

@@ -29,11 +29,10 @@ val run :
   ?scrape_every:float ->
   ?queue:Dsm_sim.Engine.queue_impl ->
   ?arena:bool ->
-  ?batch:bool ->
   unit ->
   outcome
 (** [spec.n] and [spec.m] must match the replication map's dimensions.
-    [queue]/[arena]/[batch] select the hot-path machinery and
+    [queue]/[arena] select the hot-path machinery and
     [?metrics]/[?wire]/[?recorder]/[?scrape_every] the observability as
     in {!Sim_run.run}; here the accountant prices the whole m×n [know]
     matrix each write multicasts, so partial replication's metadata tax
@@ -55,7 +54,6 @@ val run_scan :
   ?scrape_every:float ->
   ?queue:Dsm_sim.Engine.queue_impl ->
   ?arena:bool ->
-  ?batch:bool ->
   unit ->
   outcome
 (** Same run over {!Dsm_core.Opt_p_partial.Scan}, the reference

@@ -21,11 +21,10 @@ type outcome = {
 let run (module P : Protocol.S) ~spec ~latency ~faults
     ?(retransmit_after = 50.) ?(seed = 1) ?(max_steps = 20_000_000)
     ?(metrics = Dsm_obs.Metrics.null ()) ?(wire = Dsm_obs.Wire.null ())
-    ?(recorder = Dsm_obs.Timeseries.null ()) ?(scrape_every = 25.)
-    ?(queue = Engine.Indexed) ?(arena = true) ?(batch = false) () =
+    ?(recorder = Dsm_obs.Timeseries.null ()) ?(scrape_every = 25.) () =
   let cfg = Protocol.config ~n:spec.Spec.n ~m:spec.Spec.m in
   let schedule = Dsm_workload.Generator.generate spec in
-  let engine = Engine.create ~queue () in
+  let engine = Engine.create () in
   let rng = Rng.create seed in
   (* the accountant sees channel frames: data frames price the
      protocol's shape plus the channel envelope, retransmissions and
@@ -34,7 +33,7 @@ let run (module P : Protocol.S) ~spec ~latency ~faults
   let network =
     Network.create ~engine ~rng ~n:spec.Spec.n
       ~latency:(fun ~src:_ ~dst:_ -> latency)
-      ~arena ~batch ~faults ~mangle:Reliable_channel.corrupt_frame ~metrics
+      ~faults ~mangle:Reliable_channel.corrupt_frame ~metrics
       ~wire ~measure
       ~sizer:(fun f -> Dsm_obs.Wire.frame_bytes (measure f))
       ()

@@ -35,9 +35,6 @@ val run :
   ?wire:Dsm_obs.Wire.t ->
   ?recorder:Dsm_obs.Timeseries.t ->
   ?scrape_every:float ->
-  ?queue:Dsm_sim.Engine.queue_impl ->
-  ?arena:bool ->
-  ?batch:bool ->
   unit ->
   outcome
 (** [?metrics] (default: the null registry) is threaded to the network
@@ -46,8 +43,6 @@ val run :
     accountant prices {e channel} frames ({!
     Dsm_sim.Reliable_channel.wire_frame}), so retransmissions and acks
     show up as wire cost.
-    [queue]/[arena]/[batch] select the hot-path machinery as in
-    {!Sim_run.run}.
     @raise Failure on step-limit exhaustion (default [20_000_000];
     lossy runs retransmit, so budgets are larger than {!Sim_run}'s). *)
 

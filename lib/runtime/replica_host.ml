@@ -183,12 +183,12 @@ let wire_of_env msg_frame env =
       { Wire.kind = "heartbeat"; scalars = 1; dots = 0; vectors = [] }
 
 let network (type p m) (protocol : (p, m) protocol) ~engine ~rng ~n ~latency
-    ~faults ?arena ?batch ?metrics ~wire () =
+    ~faults ?metrics ~wire () =
   let module P = (val protocol) in
   let measure = Reliable_channel.wire_frame (wire_of_env P.msg_frame) in
   Network.create ~engine ~rng ~n
     ~latency:(fun ~src:_ ~dst:_ -> latency)
-    ?arena ?batch ~faults ~mangle:Reliable_channel.corrupt_frame ?metrics
+    ~faults ~mangle:Reliable_channel.corrupt_frame ?metrics
     ~wire ~measure
     ~sizer:(fun f -> Wire.frame_bytes (measure f))
     ()

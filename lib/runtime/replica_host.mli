@@ -132,8 +132,6 @@ val network :
   n:int ->
   latency:Dsm_sim.Latency.t ->
   faults:Dsm_sim.Network.faults ->
-  ?arena:bool ->
-  ?batch:bool ->
   ?metrics:Dsm_obs.Metrics.t ->
   wire:Dsm_obs.Wire.t ->
   unit ->

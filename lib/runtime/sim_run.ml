@@ -45,11 +45,11 @@ let probes metrics =
     p_occupancy = Metrics.gauge metrics "buffer_occupancy";
   }
 
-let run (module P : Protocol.S) ~spec ~latency ?latency_fn ?(fifo = false)
+let run (module P : Protocol.S) ~spec ~latency ?(fifo = false)
     ?(faults = Network.no_faults) ?(seed = 1) ?(max_steps = 10_000_000)
     ?(metrics = Metrics.null ()) ?(wire = Dsm_obs.Wire.null ())
     ?(recorder = Dsm_obs.Timeseries.null ()) ?(scrape_every = 25.)
-    ?(queue = Engine.Indexed) ?(arena = true) ?(batch = false) () =
+    ?(queue = Engine.Indexed) ?(arena = true) () =
   let protocol =
     (module P : Protocol.S with type t = P.t and type msg = P.msg)
   in
@@ -58,14 +58,10 @@ let run (module P : Protocol.S) ~spec ~latency ?latency_fn ?(fifo = false)
   let schedule = Dsm_workload.Generator.generate spec in
   let engine = Engine.create ~queue () in
   let rng = Rng.create seed in
-  let latency_of =
-    match latency_fn with
-    | Some f -> f
-    | None -> fun ~src:_ ~dst:_ -> latency
-  in
   let network =
-    Network.create ~engine ~rng ~n ~latency:latency_of ~fifo
-      ~arena ~batch ~faults ~metrics ~wire ~measure:P.msg_frame
+    Network.create ~engine ~rng ~n
+      ~latency:(fun ~src:_ ~dst:_ -> latency)
+      ~fifo ~arena ~faults ~metrics ~wire ~measure:P.msg_frame
       ~sizer:(fun m -> Dsm_obs.Wire.frame_bytes (P.msg_frame m))
       ()
   in

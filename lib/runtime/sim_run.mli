@@ -24,7 +24,6 @@ val run :
   (module Dsm_core.Protocol.S) ->
   spec:Dsm_workload.Spec.t ->
   latency:Dsm_sim.Latency.t ->
-  ?latency_fn:(src:int -> dst:int -> Dsm_sim.Latency.t) ->
   ?fifo:bool ->
   ?faults:Dsm_sim.Network.faults ->
   ?seed:int ->
@@ -35,20 +34,18 @@ val run :
   ?scrape_every:float ->
   ?queue:Dsm_sim.Engine.queue_impl ->
   ?arena:bool ->
-  ?batch:bool ->
   unit ->
   outcome
-(** [latency] applies to every ordered pair unless [latency_fn]
-    overrides it. [seed] (default 1) feeds the network's latency
-    streams — the workload has its own seed in [spec]. [max_steps]
-    (default [10_000_000]) bounds runaway protocols.
+(** [latency] applies to every ordered pair. [seed] (default 1) feeds
+    the network's latency streams — the workload has its own seed in
+    [spec]. [max_steps] (default [10_000_000]) bounds runaway protocols.
 
-    [queue] (default {!Dsm_sim.Engine.Indexed}), [arena] (default
-    [true]) and [batch] (default [false]) select the engine's event
-    queue, the network's envelope arena and per-edge delivery batching
-    — the hot-path machinery knobs, exposed for differential testing
-    (every combination must produce the same outcome; [batch] may
-    reorder same-instant deliveries across distinct edges).
+    [queue] (default {!Dsm_sim.Engine.Indexed}) and [arena] (default
+    [true]) select the engine's event queue and the network's envelope
+    arena — the hot-path machinery knobs, exposed so the differential
+    suite can hold the default path to the reference pairing heap and
+    the fresh-closure envelope (every combination must produce the
+    same outcome).
 
     [metrics] (default: the null registry) receives the network and
     protocol instruments; probes are pure observation, so the run is

@@ -73,8 +73,6 @@ let probes metrics =
    immediately. [s_dummy] is an immediate, keeping every payload write
    representation-safe. *)
 type slot = {
-  mutable s_time : float;  (* delivery timestamp *)
-  mutable s_seq : int;  (* global send order, ties on the batch heap *)
   mutable s_src : int;
   mutable s_dst : int;
   mutable s_dst_inc : int;  (* destination incarnation stamped at send *)
@@ -85,31 +83,15 @@ type slot = {
 
 let s_dummy = Obj.repr ()
 
-(* Per-(src,dst) delivery batch: pending slot ids ordered by
-   (s_time, s_seq) in an implicit binary heap, plus the single armed
-   wakeup. [e_wake] is allocated once per edge; [e_wake_time] is the
-   timestamp of the earliest armed wakeup ([infinity] when none), which
-   lets stale wakeups — superseded by an earlier re-arm — recognise
-   themselves and no-op. *)
-type edge = {
-  mutable e_ids : int array;
-  mutable e_len : int;
-  mutable e_wake_time : float;
-  mutable e_wake : unit -> unit;
-}
-
 type 'a t = {
   engine : Engine.t;
   n : int;
   latency : src:int -> dst:int -> Latency.t;
   fifo : bool;
   arena : bool;
-  batch : bool;
   mutable slots : slot array;
   mutable free : int array;  (* free-list stack of slot indices *)
   mutable free_len : int;
-  mutable send_seq : int;
-  edges : edge array;  (* [src * n + dst]; empty unless [batch] *)
   faults : faults;
   channel_rng : Rng.t array array;  (* [src].(dst) *)
   last_delivery : Sim_time.t array array;  (* FIFO floor per channel *)
@@ -173,11 +155,10 @@ type 'a t = {
 
 (* ---- delivery ------------------------------------------------------ *)
 
-(* Delivery-time checks shared by every transmission path (fresh
-   closure, arena slot, batched drain). [at] is the engine clock: the
-   engine advances it to the event's timestamp before running it, so
-   reading it here is equivalent to capturing the delivery time at
-   scheduling. *)
+(* Delivery-time checks shared by both transmission paths (fresh
+   closure, arena slot). [at] is the engine clock: the engine advances
+   it to the event's timestamp before running it, so reading it here is
+   equivalent to capturing the delivery time at scheduling. *)
 let deliver t ~src ~dst ~dst_inc ~dst_gen payload =
   let at = Engine.now t.engine in
   (* a crashed destination silently loses the message: the frame
@@ -237,8 +218,6 @@ let grow_slots t =
         if i < old then t.slots.(i)
         else
           {
-            s_time = 0.;
-            s_seq = 0;
             s_src = 0;
             s_dst = 0;
             s_dst_inc = 0;
@@ -262,12 +241,9 @@ let alloc_slot t =
   t.free_len <- t.free_len - 1;
   t.free.(t.free_len)
 
-let fill_slot t ~src ~dst ~at payload =
+let fill_slot t ~src ~dst payload =
   let i = alloc_slot t in
   let s = t.slots.(i) in
-  s.s_time <- Sim_time.to_float at;
-  s.s_seq <- t.send_seq;
-  t.send_seq <- t.send_seq + 1;
   s.s_src <- src;
   s.s_dst <- dst;
   s.s_dst_inc <- t.incarnations.(dst);
@@ -275,98 +251,9 @@ let fill_slot t ~src ~dst ~at payload =
   s.s_payload <- Obj.repr payload;
   i
 
-(* ---- per-edge delivery batching ------------------------------------ *)
-
-let edge_less t ia ib =
-  let a = t.slots.(ia) and b = t.slots.(ib) in
-  a.s_time < b.s_time || (a.s_time = b.s_time && a.s_seq < b.s_seq)
-
-let edge_push t e i =
-  if e.e_len = Array.length e.e_ids then begin
-    let cap = if e.e_len = 0 then 8 else e.e_len * 2 in
-    let ids = Array.make cap 0 in
-    Array.blit e.e_ids 0 ids 0 e.e_len;
-    e.e_ids <- ids
-  end;
-  let ids = e.e_ids in
-  let j = ref e.e_len in
-  e.e_len <- e.e_len + 1;
-  let stop = ref false in
-  while (not !stop) && !j > 0 do
-    let p = (!j - 1) / 2 in
-    if edge_less t i ids.(p) then begin
-      ids.(!j) <- ids.(p);
-      j := p
-    end
-    else stop := true
-  done;
-  ids.(!j) <- i
-
-let edge_pop t e =
-  let ids = e.e_ids in
-  let top = ids.(0) in
-  let n = e.e_len - 1 in
-  e.e_len <- n;
-  if n > 0 then begin
-    let last = ids.(n) in
-    let j = ref 0 in
-    let stop = ref false in
-    while not !stop do
-      let l = (2 * !j) + 1 in
-      if l >= n then stop := true
-      else begin
-        let r = l + 1 in
-        let c = if r < n && edge_less t ids.(r) ids.(l) then r else l in
-        if edge_less t ids.(c) last then begin
-          ids.(!j) <- ids.(c);
-          j := c
-        end
-        else stop := true
-      end
-    done;
-    ids.(!j) <- last
-  end;
-  top
-
-(* Arm the edge's wakeup at its current head time, unless an armed
-   wakeup already covers it (is due no later). *)
-let edge_arm t e =
-  if e.e_len > 0 then begin
-    let ht = t.slots.(e.e_ids.(0)).s_time in
-    if ht < e.e_wake_time then begin
-      e.e_wake_time <- ht;
-      Engine.schedule_at t.engine (Sim_time.of_float ht) e.e_wake
-    end
-  end
-
-let fire_edge t e =
-  let now = Sim_time.to_float (Engine.now t.engine) in
-  if e.e_wake_time = now then begin
-    (* the earliest armed wakeup: drain every pending envelope due at
-       this instant that was already in flight when the wakeup fired.
-       [snap] fences off same-instant envelopes scheduled by handlers
-       running inside this drain — those get their own wakeup, so a
-       handler never observes a message sent "after" it in scheduling
-       order, exactly as with one engine event per envelope. *)
-    e.e_wake_time <- infinity;
-    let snap = t.send_seq in
-    let continue = ref true in
-    while !continue && e.e_len > 0 do
-      let i = e.e_ids.(0) in
-      let s = t.slots.(i) in
-      if s.s_time = now && s.s_seq < snap then begin
-        ignore (edge_pop t e : int);
-        fire_slot t i
-      end
-      else continue := false
-    done;
-    edge_arm t e
-  end
-(* otherwise: stale — an earlier re-arm superseded this wakeup *)
-
 let create ~engine ~rng ~n ~latency ?(fifo = false) ?(arena = true)
-    ?(batch = false) ?(faults = no_faults) ?mangle
-    ?(metrics = Metrics.null ()) ?(wire = Wire.null ()) ?measure ?sizer () =
+    ?(faults = no_faults) ?mangle ?(metrics = Metrics.null ())
+    ?(wire = Wire.null ()) ?measure ?sizer () =
   if n <= 0 then invalid_arg "Network.create: n must be positive";
   let check_prob name p =
     if p < 0. || p > 1. then
@@ -388,26 +275,16 @@ let create ~engine ~rng ~n ~latency ?(fifo = false) ?(arena = true)
   let channel_rng =
     Array.init n (fun _ -> Array.init n (fun _ -> Rng.split rng))
   in
-  let edges =
-    if batch then
-      Array.init (n * n) (fun _ ->
-          { e_ids = [||]; e_len = 0; e_wake_time = infinity; e_wake = ignore })
-    else [||]
-  in
-  let t =
-    {
-      engine;
-      n;
-      latency;
-      fifo;
-      arena;
-      batch;
-      slots = [||];
-      free = [||];
-      free_len = 0;
-      send_seq = 0;
-      edges;
-      faults;
+  {
+    engine;
+    n;
+    latency;
+    fifo;
+    arena;
+    slots = [||];
+    free = [||];
+    free_len = 0;
+    faults;
     channel_rng;
     last_delivery = Array.init n (fun _ -> Array.make n Sim_time.zero);
     handlers = Array.make n None;
@@ -433,19 +310,14 @@ let create ~engine ~rng ~n ~latency ?(fifo = false) ?(arena = true)
     dropped = 0;
     duplicated = 0;
     corrupted = 0;
-      partition_dropped = 0;
-      crash_dropped = 0;
-      stale_dropped = 0;
-      nonmember_dropped = 0;
-      oneway_dropped = 0;
-      flap_dropped = 0;
-      delay_inflated = 0;
-    }
-  in
-  (* the wakeup thunks need the network itself; patch them in once *)
-  if batch then
-    Array.iter (fun e -> e.e_wake <- (fun () -> fire_edge t e)) edges;
-  t
+    partition_dropped = 0;
+    crash_dropped = 0;
+    stale_dropped = 0;
+    nonmember_dropped = 0;
+    oneway_dropped = 0;
+    flap_dropped = 0;
+    delay_inflated = 0;
+  }
 
 let n t = t.n
 
@@ -588,27 +460,15 @@ let mark_recovered t p =
   check_proc t p "mark_recovered";
   t.crashed.(p) <- false
 
-let is_crashed t p =
-  check_proc t p "is_crashed";
-  t.crashed.(p)
-
 (* ---- incarnations and view epochs --------------------------------- *)
 
 let bump_incarnation t p =
   check_proc t p "bump_incarnation";
   t.incarnations.(p) <- t.incarnations.(p) + 1
 
-let incarnation t p =
-  check_proc t p "incarnation";
-  t.incarnations.(p)
-
 let bump_generation t p =
   check_proc t p "bump_generation";
   t.generations.(p) <- t.generations.(p) + 1
-
-let generation t p =
-  check_proc t p "generation";
-  t.generations.(p)
 
 let set_membership t f = t.member <- f
 
@@ -616,22 +476,18 @@ let set_epoch t e =
   if e < t.epoch then invalid_arg "Network.set_epoch: epochs only advance";
   t.epoch <- e
 
-let epoch t = t.epoch
-
 (* ---- transmission -------------------------------------------------- *)
 
 (* Every envelope is view-stamped: it captures the destination's
    incarnation at transmission time (see [fill_slot] for the arena
-   paths). Three scheduling strategies share [deliver]:
+   path). Two scheduling paths share [deliver], each one engine event
+   per envelope:
 
    - [~arena:false]: the seed path — a fresh closure per envelope,
      kept as the allocation reference for differential testing;
    - [~arena:true] (default): a recycled slot whose preallocated
-     [s_fire] thunk is the engine event — same one-event-per-envelope
-     schedule, zero steady-state allocation;
-   - [~batch:true]: slots parked on a per-(src,dst) heap; one wakeup
-     per distinct delivery instant drains the batch in (time, seq)
-     order, collapsing same-edge bursts into a single engine event. *)
+     [s_fire] thunk is the engine event — the same schedule, zero
+     steady-state allocation. *)
 
 let schedule_closure t ~src ~dst ~at payload =
   let dst_inc = t.incarnations.(dst) in
@@ -641,18 +497,11 @@ let schedule_closure t ~src ~dst ~at payload =
       deliver t ~src ~dst ~dst_inc ~dst_gen payload)
 
 let schedule_arena t ~src ~dst ~at payload =
-  let i = fill_slot t ~src ~dst ~at payload in
+  let i = fill_slot t ~src ~dst payload in
   Engine.schedule_at t.engine at t.slots.(i).s_fire
 
-let schedule_batched t ~src ~dst ~at payload =
-  let i = fill_slot t ~src ~dst ~at payload in
-  let e = t.edges.((src * t.n) + dst) in
-  edge_push t e i;
-  edge_arm t e
-
 let schedule_delivery t ~src ~dst ~at payload =
-  if t.batch then schedule_batched t ~src ~dst ~at payload
-  else if t.arena then schedule_arena t ~src ~dst ~at payload
+  if t.arena then schedule_arena t ~src ~dst ~at payload
   else schedule_closure t ~src ~dst ~at payload
 
 (* [send] with the payload's wire frame measured ([None]: accountant off) *)

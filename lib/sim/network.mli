@@ -49,7 +49,6 @@ val create :
   latency:(src:int -> dst:int -> Latency.t) ->
   ?fifo:bool ->
   ?arena:bool ->
-  ?batch:bool ->
   ?faults:faults ->
   ?mangle:('a -> 'a) ->
   ?metrics:Dsm_obs.Metrics.t ->
@@ -82,24 +81,15 @@ val create :
     accountant and the hot path stops serializing every payload
     twice.
 
-    [?arena] (default [true]) routes envelopes through a flat slot
-    arena: an in-flight message occupies a recycled slot whose delivery
-    thunk is preallocated, so steady-state traffic allocates nothing per
-    envelope. [~arena:false] restores the seed fresh-closure-per-message
-    path — behaviourally identical (same engine events, same RNG
-    consumption, same delivery order), kept as the reference for
-    differential testing.
-
-    [?batch] (default [false]) additionally batches deliveries per
-    (src, dst) edge: pending envelopes park on a per-edge heap ordered
-    by (delivery time, send order) and a single wakeup per distinct
-    delivery instant drains the due batch, collapsing same-edge bursts
-    (broadcast flushes, retransmission storms) into one engine event
-    each. Delivery {e times} and per-edge delivery {e order} are
-    unchanged; only the interleaving of same-instant events {e across}
-    different edges can differ from the unbatched schedule, so runs
-    that must be byte-identical to pinned seed traces keep the
-    default.
+    Every envelope is one engine event at its delivery time, so
+    same-instant deliveries run in send order, on one edge or across
+    several. [?arena] (default [true]) routes envelopes through a flat
+    slot arena: an in-flight message occupies a recycled slot whose
+    delivery thunk is preallocated, so steady-state traffic allocates
+    nothing per envelope. [~arena:false] restores the seed
+    fresh-closure-per-message path — behaviourally identical (same
+    engine events, same RNG consumption, same delivery order), kept as
+    the reference for differential testing.
 
     [?mangle] is the corruption model: when the [corrupt] fault fires,
     the delivered payload is [mangle payload] instead of [payload]. The
@@ -226,7 +216,6 @@ val inflate : 'a t -> src:int -> dst:int -> factor:float -> until_:float -> unit
 
 val mark_crashed : 'a t -> int -> unit
 val mark_recovered : 'a t -> int -> unit
-val is_crashed : 'a t -> int -> bool
 
 (** {1 Incarnations and view epochs}
 
@@ -244,11 +233,9 @@ val is_crashed : 'a t -> int -> bool
     The {e epoch} is the generation counter of the membership view,
     maintained by the driver ({!set_epoch}); it only advances. Old-epoch
     messages are still causally valid (views only grow), so epochs are
-    not a drop criterion — they exist for observability and for drivers
-    to stamp into their own payloads. *)
+    not a drop criterion. *)
 
 val bump_incarnation : 'a t -> int -> unit
-val incarnation : 'a t -> int -> int
 
 val bump_generation : 'a t -> int -> unit
 (** Slot-reuse layer of the staleness stamp: when a retired slot is
@@ -259,12 +246,8 @@ val bump_generation : 'a t -> int -> unit
     previous occupant's traffic can never reach the new one.
     Generation-0 slots (never reused) behave exactly as before. *)
 
-val generation : 'a t -> int -> int
-
 val set_epoch : 'a t -> int -> unit
 (** @raise Invalid_argument if the epoch would move backwards. *)
-
-val epoch : 'a t -> int
 
 (** {1 Counters} *)
 

@@ -38,7 +38,7 @@ let params_of_seed seed =
   (n, ratio, sigma, faults)
 
 let run_one (module P : Dsm_core.Protocol.S) ?(queue = Engine.Indexed)
-    ?(arena = true) ?(batch = false) ?(observe = false) ~seed () =
+    ?(arena = true) ?(observe = false) ~seed () =
   let n, ratio, sigma, faults = params_of_seed seed in
   let spec =
     Spec.make ~n ~m:4 ~ops_per_process:40 ~write_ratio:ratio
@@ -55,11 +55,11 @@ let run_one (module P : Dsm_core.Protocol.S) ?(queue = Engine.Indexed)
     let wire = Dsm_obs.Wire.create ~proto:P.name ~n () in
     let recorder = Dsm_obs.Timeseries.create ~metrics () in
     Sim_run.run (module P) ~spec ~latency ~faults ~seed:(seed + 1) ~queue
-      ~arena ~batch ~metrics ~wire ~recorder ()
+      ~arena ~metrics ~wire ~recorder ()
   end
   else
     Sim_run.run (module P) ~spec ~latency ~faults ~seed:(seed + 1) ~queue
-      ~arena ~batch ()
+      ~arena ()
 
 let same_outcome name seed (o1 : Sim_run.outcome) (o2 : Sim_run.outcome) =
   let ctx fmt = Printf.sprintf ("%s seed %d: " ^^ fmt) name seed in
@@ -221,22 +221,6 @@ let test_variants_partial () =
             base.Partial_run.engine_steps o.Partial_run.engine_steps)
         engine_variants)
     (seeds 30)
-
-(* Delivery batching coalesces same-edge deliveries behind one wakeup.
-   It may permute same-instant deliveries across DISTINCT edges — a
-   measure-zero event under the continuous latency laws used here — so
-   on this sweep the batched run must reproduce the unbatched outcome
-   exactly (engine step counts differ: wakeups replace per-envelope
-   events; [same_outcome] compares semantics, not step counts). *)
-let test_batched_parity (module P : Dsm_core.Protocol.S) name count () =
-  List.iter
-    (fun seed ->
-      same_outcome
-        (Printf.sprintf "%s[batched]" name)
-        seed
-        (run_one (module P) ~seed ())
-        (run_one (module P) ~batch:true ~seed ()))
-    (seeds count)
 
 (* Observation parity: arming the wire accountant, the flight recorder
    and a live metrics registry must not move the run. The accountant
@@ -1001,13 +985,6 @@ let () =
             (test_variants (module Dsm_core.Opt_p_ws) "OptP-WS" 40);
           Alcotest.test_case "OptP-partial, 30 seeds x 3 variants" `Quick
             test_variants_partial;
-        ] );
-      ( "delivery batching parity",
-        [
-          Alcotest.test_case "OptP, 100 seeds" `Quick
-            (test_batched_parity (module Dsm_core.Opt_p) "OptP" 100);
-          Alcotest.test_case "ANBKH, 100 seeds" `Quick
-            (test_batched_parity (module Dsm_core.Anbkh) "ANBKH" 100);
         ] );
       ( "observation parity: wire + recorder + live metrics",
         [

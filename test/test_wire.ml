@@ -584,7 +584,7 @@ let test_bench_diff_directions () =
       ("overhead[1].overhead_pct", Bench_diff.Lower_better);
       ("results[2].meta_bytes_per_msg", Bench_diff.Lower_better);
       ("gc_minor_words_per_event", Bench_diff.Lower_better);
-      ("batching.step_reduction", Bench_diff.Higher_better);
+      ("stress.speedup", Bench_diff.Higher_better);
       ("events_per_sec", Bench_diff.Higher_better);
       ("overhead[0].n", Bench_diff.Info);
       ("overhead[0].messages", Bench_diff.Info);
